@@ -16,11 +16,46 @@ relocates it) — see :mod:`repro.harness.parallel`.
 
 from __future__ import annotations
 
+import json
 import os
 import pathlib
+import platform
+import subprocess
 
 OUT_DIR = pathlib.Path(__file__).parent / "out"
 RUNCACHE_DIR = pathlib.Path(__file__).parent / ".runcache"
+
+
+def _git_rev() -> str | None:
+    try:
+        out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
+                             cwd=pathlib.Path(__file__).parent,
+                             capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip() or None
+
+
+def write_mode_result(path: pathlib.Path, benchmark: str, mode: str,
+                      result: dict) -> None:
+    """Store one mode's (``smoke``/``full``) result in ``path``.
+
+    The file holds one stamped entry per mode, so a smoke run never
+    replaces a full-mode result or the other way round.  A file in the
+    older single-result layout (a top-level ``mode`` key) is kept as the
+    entry of its own mode.
+    """
+    doc: dict = {}
+    if path.exists():
+        doc = json.loads(path.read_text())
+        if "mode" in doc:
+            doc = {doc["mode"]: doc}
+    doc = {"benchmark": benchmark, **doc}
+    doc[mode] = {"mode": mode, "git_rev": _git_rev(),
+                 "cpus": os.cpu_count(),
+                 "python": platform.python_version(),
+                 "machine": platform.machine(), **result}
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def scale() -> str:

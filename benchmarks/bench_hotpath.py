@@ -12,7 +12,9 @@ checks two things at once:
    pre-optimization ``baseline_wall_s`` recorded in the same reference
    (captured back-to-back with the optimized timings on one machine).
 
-Results land in ``BENCH_hotpath.json`` at the repo root.
+Results land in ``BENCH_hotpath.json`` at the repo root, under one
+stamped key per mode (``smoke``, ``full``): a smoke run never replaces
+the full-mode result.
 
 Run directly (not under pytest)::
 
@@ -40,10 +42,10 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
-import platform
 import sys
 import time
 
+from _common import write_mode_result
 from repro.harness.hotpath import CONFIGS, run_config
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -83,6 +85,8 @@ def bench_config(name: str, smoke: bool, reps: int) -> dict:
                 "rounds_planned": perf.rounds_planned,
                 "macro_rounds": perf.macro_rounds,
                 "messages_coalesced": perf.messages_coalesced,
+                "gc_collections": list(perf.gc_collections),
+                "gc_pause_s": round(perf.gc_pause_s, 4),
             }}
 
 
@@ -213,10 +217,6 @@ def main(argv: list[str] | None = None) -> int:
                         "regression)")
 
     payload = {
-        "benchmark": "hotpath",
-        "mode": "smoke" if smoke else "full",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
         "determinism_ok": not any("MISMATCH" in e or "reference says" in e
                                   for e in errors),
         "results": results,
@@ -228,8 +228,9 @@ def main(argv: list[str] | None = None) -> int:
         payload["scale_macro"] = scale
     if gate:
         payload["smoke_gate"] = gate
-    OUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {OUT}")
+    mode = "smoke" if smoke else "full"
+    write_mode_result(OUT, "hotpath", mode, payload)
+    print(f"wrote the {mode} entry of {OUT}")
 
     if errors:
         for e in errors:

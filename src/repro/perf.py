@@ -9,7 +9,8 @@ stay *visible*: every run samples cheap counters into a
 Counter sources:
 
 * the engine counts effects dispatched and scheduler entries by path
-  (binary heap vs the same-time ready deque);
+  (binary heap vs the same-time ready deque), and the cyclic-GC passes
+  and pause seconds that fell inside its run;
 * every mailbox counts matches by path (exact ``(ctx, src, tag)`` bucket
   hit vs ordered wildcard scan);
 * the two-phase hot loops count segments that went through the
@@ -47,6 +48,10 @@ class PerfStats:
     macro_rounds: int = 0
     #: per-message simulation steps replaced by macro schedules
     messages_coalesced: int = 0
+    #: cyclic-GC passes per generation (0, 1, 2) during the engine run
+    gc_collections: tuple[int, int, int] = (0, 0, 0)
+    #: host seconds the cyclic collector paused the engine run for
+    gc_pause_s: float = 0.0
     #: run-cache counters (populated by batch-level aggregation — the
     #: executor and the service fold :class:`~repro.harness.parallel.
     #: CacheStats` in via :func:`add_cache`; zero on single runs)
@@ -86,6 +91,13 @@ class PerfStats:
                 continue
             if f.name == "shard":
                 continue  # rendered below from the dict
+            if f.name == "gc_collections":
+                out.append(("gc collections (gen 0/1/2)",
+                            "/".join(f"{n:,}" for n in v)))
+                continue
+            if f.name == "gc_pause_s":
+                out.append(("gc pause seconds", f"{v:.3f}"))
+                continue
             if f.name.startswith("cache_") and not v:
                 continue  # cache counters only exist on aggregated stats
             out.append((f.name.replace("_", " "), f"{v:,}"))
@@ -171,6 +183,8 @@ def collect(world, wall_seconds: float = 0.0,
         rounds_planned=planned,
         macro_rounds=macro,
         messages_coalesced=coalesced,
+        gc_collections=tuple(eng.gc_collections),
+        gc_pause_s=eng.gc_pause_s,
     )
 
 
@@ -183,6 +197,11 @@ def merge(stats: "list[PerfStats]") -> PerfStats:
         for f in fields(PerfStats):
             if f.name == "shard":
                 continue  # not a counter; carried below
+            if f.name == "gc_collections":
+                out.gc_collections = tuple(
+                    a + b for a, b in zip(out.gc_collections,
+                                          st.gc_collections))
+                continue
             setattr(out, f.name, getattr(out, f.name) + getattr(st, f.name))
         shard = getattr(st, "shard", None)
         if out.shard is None and shard is not None:

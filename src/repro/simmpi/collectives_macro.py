@@ -204,6 +204,17 @@ class _Driver:
         core.initc += 1
         self.idx += 1
 
+    def release(self) -> None:
+        """Drop the finished round's programs, results and site.
+
+        ``site.driver`` points here while the step programs' size thunks
+        close over ``site``: without this the round is a reference cycle
+        holding its P² step tuples until a full cyclic collection.
+        """
+        self.site = None
+        self.progs = None
+        self.results = None
+
     def _complete(self, r: int, pe: list) -> None:
         sendT, sbind, recvT, rbind = pe[1], pe[2], pe[3], pe[4]
         if sendT is None or recvT is None:
@@ -371,12 +382,13 @@ class _Walker:
         while True:
             k = step_i[r]
             if k >= nsteps:
+                ev = drv.site.events[r]
+                val = drv.results[r]
                 drv.done += 1
                 if drv.done == drv.p:
                     perf_counters.messages_coalesced += drv.nmsgs
                     self.unfinished -= 1
-                ev = drv.site.events[r]
-                val = drv.results[r]
+                    drv.release()
                 if cur_t > eng.now:
                     # walked ahead of the engine clock: re-enter the
                     # scheduler so the rank resumes at its true exit
@@ -728,6 +740,32 @@ def reduce_scatter_block(comm: "Communicator", values: list, op: ReduceOp,
         comm, "reduce_scatter_block", values, prog_for, results_for))
 
 
+def _allreduce_acc(site: _MacroSite, op: ReduceOp, rem: int, pof2: int,
+                   q: int, j: int) -> Any:
+    """Core rank q's partial reduction after j doubling rounds.
+
+    j = 0 is the post-fold value.  Memoized on the site; every operand
+    has causally arrived by the time a step's size thunk (or the last
+    arrival's results pass) asks for it.  A module-level function, so
+    the recursion does not make a per-call closure cycle.
+    """
+    memo = site.extra
+    k = (q, j)
+    if k in memo:
+        return memo[k]
+    if j == 0:
+        v = site.values[q]
+        if q < rem:
+            v = op(v, _data_of(site.values[q + pof2]))
+    else:
+        mask = 1 << (j - 1)
+        mine = _allreduce_acc(site, op, rem, pof2, q, j - 1)
+        theirs = _allreduce_acc(site, op, rem, pof2, q ^ mask, j - 1)
+        v = op(mine, _data_of(theirs))
+    memo[k] = v
+    return v
+
+
 def allreduce(comm: "Communicator", value: Any, op: ReduceOp,
               nbytes: Optional[int]) -> Generator[Any, Any, Any]:
     if comm.size == 1 or not _usable(comm):
@@ -743,27 +781,7 @@ def allreduce(comm: "Communicator", value: Any, op: ReduceOp,
         return _block_size(v, nbytes)
 
     def acc(site: _MacroSite, q: int, j: int) -> Any:
-        """Core rank q's partial reduction after j doubling rounds.
-
-        j = 0 is the post-fold value.  Memoized on the site; every
-        operand has causally arrived by the time a step's size thunk
-        (or the last arrival's results pass) asks for it.
-        """
-        memo = site.extra
-        k = (q, j)
-        if k in memo:
-            return memo[k]
-        if j == 0:
-            v = site.values[q]
-            if q < rem:
-                v = op(v, _data_of(site.values[q + pof2]))
-        else:
-            mask = 1 << (j - 1)
-            mine = acc(site, q, j - 1)
-            theirs = acc(site, q ^ mask, j - 1)
-            v = op(mine, _data_of(theirs))
-        memo[k] = v
-        return v
+        return _allreduce_acc(site, op, rem, pof2, q, j)
 
     def prog_for(site: _MacroSite, r: int) -> list:
         if r >= pof2:
