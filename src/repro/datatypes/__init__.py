@@ -16,7 +16,8 @@ from repro.datatypes.constructors import (Contiguous, HIndexed, HVector,
                                           Indexed, Resized, Struct, Subarray,
                                           Vector)
 from repro.datatypes.flatten import coalesce, validate_segments
-from repro.datatypes.packing import gather_segments, scatter_segments
+from repro.datatypes.packing import (copy_segments, gather_segments,
+                                     scatter_segments)
 
 __all__ = [
     "Datatype",
@@ -37,6 +38,7 @@ __all__ = [
     "Resized",
     "coalesce",
     "validate_segments",
+    "copy_segments",
     "gather_segments",
     "scatter_segments",
 ]

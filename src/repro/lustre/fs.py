@@ -20,7 +20,6 @@ from typing import Any, Generator, Optional
 
 import numpy as np
 
-from repro.datatypes.packing import gather_segments
 from repro.errors import FileSystemError
 from repro.lustre.layout import StripeLayout
 from repro.lustre.locks import LockManager
@@ -358,10 +357,7 @@ class LustreFS:
 
         def commit():
             if flat is not None:
-                pos = 0
-                for off, ln in zip(offsets.tolist(), lengths.tolist()):
-                    f.store.write(off, flat[pos:pos + ln])
-                    pos += ln
+                f.store.write_segments(offsets, lengths, flat)
             for off, ln in zip(offsets.tolist(), lengths.tolist()):
                 f.tracker.write(off, ln)
             return self._do_io(f, client, offsets, lengths, "w", retry=retry)
@@ -386,9 +382,4 @@ class LustreFS:
         yield Sleep(done - self.engine.now)
         if f.store is None:
             return None
-        out = np.empty(total, dtype=np.uint8)
-        pos = 0
-        for off, ln in zip(offsets.tolist(), lengths.tolist()):
-            out[pos:pos + ln] = f.store.read(off, ln)
-            pos += ln
-        return out
+        return f.store.read_segments(offsets, lengths)

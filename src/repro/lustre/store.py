@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.datatypes.flatten import coalesce
+from repro.datatypes.packing import copy_segments, dense_starts
 from repro.errors import FileSystemError
 
 #: refuse to materialize verified-mode files beyond this size
@@ -40,18 +41,53 @@ class ByteStore:
 
     def write(self, offset: int, data: np.ndarray) -> None:
         data = np.asarray(data, dtype=np.uint8).ravel()
-        if offset < 0:
-            raise FileSystemError(f"negative offset {offset}")
-        end = offset + data.size
+        self.write_segments([offset], [data.size], data)
+
+    def write_segments(self, offsets, lengths, data: np.ndarray) -> None:
+        """Write densely packed ``data`` at the segments, growing the file."""
+        offsets = np.asarray(offsets, dtype=np.int64).ravel()
+        lengths = np.asarray(lengths, dtype=np.int64).ravel()
+        if offsets.size == 0:
+            return
+        if int(offsets.min()) < 0:
+            raise FileSystemError(f"negative offset {int(offsets.min())}")
+        end = int((offsets + lengths).max())
         self._ensure(end)
-        self._buf[offset:end] = data
+        copy_segments(self._buf, offsets, np.asarray(data, dtype=np.uint8),
+                      dense_starts(lengths), lengths)
         self.size = max(self.size, end)
 
     def read(self, offset: int, length: int) -> np.ndarray:
-        if offset < 0 or length < 0:
+        return self.read_segments([offset], [length])
+
+    def read_segments(self, offsets, lengths) -> np.ndarray:
+        """The bytes at the segments, densely packed.
+
+        Bytes past the written size read as zero; a read never grows
+        the buffer.
+        """
+        offsets = np.asarray(offsets, dtype=np.int64).ravel()
+        lengths = np.asarray(lengths, dtype=np.int64).ravel()
+        if offsets.size == 0:
+            return np.empty(0, dtype=np.uint8)
+        if int(offsets.min()) < 0 or int(lengths.min()) < 0:
             raise FileSystemError("negative offset/length")
-        self._ensure(offset + length)
-        return self._buf[offset:offset + length].copy()
+        packed = dense_starts(lengths)
+        ends = offsets + lengths
+        if int(ends.max()) <= self.size:
+            out = np.empty(int(lengths.sum()), dtype=np.uint8)
+        else:
+            out = np.zeros(int(lengths.sum()), dtype=np.uint8)
+            lengths = np.maximum(np.minimum(ends, self.size) - offsets, 0)
+            offsets = np.minimum(offsets, self.size)
+        copy_segments(out, packed, self._buf, offsets, lengths)
+        return out
+
+    def view(self) -> np.ndarray:
+        """The file contents up to its current size (read-only, no copy)."""
+        out = self._buf[: self.size]
+        out.flags.writeable = False
+        return out
 
     def snapshot(self) -> np.ndarray:
         """The file contents up to its current size (copy)."""

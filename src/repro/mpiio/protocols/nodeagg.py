@@ -29,12 +29,12 @@ from typing import Any, Generator, Optional
 import numpy as np
 
 from repro.datatypes.flatten import Segments, coalesce
+from repro.datatypes.packing import dense_starts
 from repro.mpiio.consolidation import _SEG_HEADER, node_groups
 from repro.mpiio.protocols import (CollectiveProtocol, _reject_options,
                                    register_protocol)
-from repro.mpiio.two_phase import (IOEnv, _prefix_of, collective_read,
-                                   collective_write, extract_data,
-                                   merge_pieces)
+from repro.mpiio.two_phase import (IOEnv, collective_read, collective_write,
+                                   extract_data, merge_pieces)
 from repro.sim.effects import Sleep
 from repro.simmpi.payload import Payload
 
@@ -172,7 +172,7 @@ def nodeagg_read(env: IOEnv, segs: Segments, state: dict
     union_data = yield from collective_read(_inner_env(env, sub, fa=False),
                                             union)
     have_data = union_data is not None
-    union_prefix = _prefix_of(union[1])
+    union_prefix = dense_starts(union[1])
     forwarded = sum(int(s[1].sum()) for m, s in requests if m != comm.rank)
     if len(members) > 1:
         yield from _charge_memcpy(env, forwarded)

@@ -30,6 +30,8 @@ import numpy as np
 
 from repro.cluster.machine import Machine
 from repro.datatypes.flatten import Segments, coalesce, intersect_range
+from repro.datatypes.packing import (copy_segments, dense_starts,
+                                     gather_segments, scatter_segments)
 from repro.errors import MPIIOError
 from repro.lustre.fs import LustreFS, LustreFile
 from repro.mpiio.aggregation import default_aggregators, partition_file_domains
@@ -47,21 +49,6 @@ REPLY_TAG = TP_TAG + 10_000_000
 
 #: modeled wire bytes per (offset, length) pair in a request list
 SEG_HEADER_BYTES = 16
-
-#: vectorized-copy heuristic: fancy-index gather/scatter pays off only in
-#: the many-small-segments regime; larger segments keep the slice loop
-#: (memcpy beats building an index array one entry per byte)
-_VEC_MIN_SEGS = 8
-_VEC_MAX_AVG_BYTES = 512
-
-
-def _gather_index(starts: np.ndarray, lens: np.ndarray,
-                  total: int) -> np.ndarray:
-    """Flat source indices for densely packing segments ``[starts, +lens)``."""
-    out_first = np.zeros(lens.size, dtype=np.int64)
-    np.cumsum(lens[:-1], out=out_first[1:])
-    reps = np.repeat(starts - out_first, lens)
-    return np.arange(total, dtype=np.int64) + reps
 
 
 @dataclass
@@ -116,55 +103,15 @@ def data_positions(offs: np.ndarray, prefix: np.ndarray,
 def extract_data(segs: Segments, prefix: np.ndarray, data: np.ndarray,
                  sub: Segments) -> np.ndarray:
     """Slice the dense bytes of ``sub`` (a subset of ``segs``) out of ``data``."""
-    sub_offs, sub_lens = sub
-    if sub_offs.size == 0:
-        return np.empty(0, dtype=np.uint8)
-    starts = data_positions(segs[0], prefix, sub_offs)
-    n = sub_offs.size
-    total = int(sub_lens.sum())
-    if n >= _VEC_MIN_SEGS and total < n * _VEC_MAX_AVG_BYTES:
-        perf_counters.segments_vectorized += n
-        return data[_gather_index(starts, sub_lens, total)]
-    return _extract_data_reference(starts, sub_lens, data)
-
-
-def _extract_data_reference(starts: np.ndarray, sub_lens: np.ndarray,
-                            data: np.ndarray) -> np.ndarray:
-    """Slice-loop copy (retained reference; also the few/large-segments path)."""
-    pieces = [data[s:s + l] for s, l in zip(starts.tolist(), sub_lens.tolist())]
-    return np.concatenate(pieces)
+    return gather_segments(data, data_positions(segs[0], prefix, sub[0]),
+                           sub[1])
 
 
 def place_data(segs: Segments, prefix: np.ndarray, out: np.ndarray,
                sub: Segments, incoming: np.ndarray) -> None:
     """Inverse of :func:`extract_data`: write ``incoming`` into ``out``."""
-    sub_offs, sub_lens = sub
-    if sub_offs.size == 0:
-        return
-    starts = data_positions(segs[0], prefix, sub_offs)
-    n = sub_offs.size
-    total = int(sub_lens.sum())
-    if n >= _VEC_MIN_SEGS and total < n * _VEC_MAX_AVG_BYTES:
-        perf_counters.segments_vectorized += n
-        out[_gather_index(starts, sub_lens, total)] = incoming[:total]
-        return
-    _place_data_reference(starts, sub_lens, out, incoming)
-
-
-def _place_data_reference(starts: np.ndarray, sub_lens: np.ndarray,
-                          out: np.ndarray, incoming: np.ndarray) -> None:
-    """Slice-loop scatter (retained reference; few/large-segments path)."""
-    pos = 0
-    for s, l in zip(starts.tolist(), sub_lens.tolist()):
-        out[s:s + l] = incoming[pos:pos + l]
-        pos += l
-
-
-def _prefix_of(lens: np.ndarray) -> np.ndarray:
-    prefix = np.zeros(lens.size, dtype=np.int64)
-    if lens.size > 1:
-        np.cumsum(lens[:-1], out=prefix[1:])
-    return prefix
+    scatter_segments(out, data_positions(segs[0], prefix, sub[0]), sub[1],
+                     incoming)
 
 
 def _setup(env: IOEnv, segs: Segments
@@ -192,36 +139,6 @@ def _setup(env: IOEnv, segs: Segments
     ntimes = yield from comm.allreduce(my_rounds, op=MAX, nbytes=8,
                                        category="sync")
     return aggs, starts, ends, int(ntimes), my_idx
-
-
-def _send_lists_for_round(segs: Segments, aggs: list[int],
-                          starts: np.ndarray, ends: np.ndarray,
-                          rnd: int, cb: int) -> dict[int, Segments]:
-    """My non-empty intersections with each aggregator's round window.
-
-    Retained as the per-round reference implementation: the hot paths use
-    :func:`plan_rounds` (one vectorized pass over all rounds), and the
-    property tests assert the two agree on random fragmented patterns.
-
-    Only the domains overlapping my overall extent are inspected — with
-    hundreds of aggregators a rank typically touches one or two, and
-    scanning all of them per round would cost O(P^2) across ranks.
-    """
-    offs, lens = segs
-    if offs.size == 0:
-        return {}
-    my_lo = int(offs[0])
-    my_hi = int(offs[-1] + lens[-1])
-    a_first = int(np.searchsorted(ends, my_lo, side="right"))
-    a_last = int(np.searchsorted(starts, my_hi, side="left"))
-    out: dict[int, Segments] = {}
-    for a in range(a_first, min(a_last, len(aggs))):
-        w_lo = int(starts[a]) + rnd * cb
-        w_hi = min(int(ends[a]), w_lo + cb)
-        sub = intersect_range(segs, w_lo, w_hi)
-        if sub[0].size:
-            out[a] = sub
-    return out
 
 
 def plan_rounds(segs: Segments, aggs: list[int], starts: np.ndarray,
@@ -313,7 +230,7 @@ def collective_write(env: IOEnv, segs: Segments,
     aggs, starts, ends, ntimes, my_idx = setup
     cb = env.hints.cb_buffer_size
     offs, lens = segs
-    prefix = _prefix_of(lens)
+    prefix = dense_starts(lens)
     total = int(lens.sum())
     if data is not None:
         data = np.asarray(data, dtype=np.uint8).ravel()
@@ -406,19 +323,12 @@ def merge_pieces(pieces: list[tuple[Segments, Optional[np.ndarray]]],
     if verified:
         # each piece's data is its segments densely packed in order, so
         # the concatenation of all piece datas holds segment k's bytes at
-        # the exclusive prefix sum of all_lens — the reorder is a single
-        # gather on the sorted segment permutation
+        # the dense start of all_lens[k] — the reorder is one copy from
+        # those starts, taken in sorted order, to the dense sorted layout
         cat = np.concatenate([p[1] for p in pieces])
-        src_start = _prefix_of(all_lens)[order]
-        total = int(sorted_lens.sum())
-        n = sorted_lens.size
-        if n >= _VEC_MIN_SEGS and total < n * _VEC_MAX_AVG_BYTES:
-            perf_counters.segments_vectorized += n
-            merged_data = (cat[_gather_index(src_start, sorted_lens, total)]
-                           if total else np.empty(0, np.uint8))
-        else:
-            merged_data = _merge_reorder_reference(cat, src_start,
-                                                   sorted_lens)
+        merged_data = np.empty(cat.size, dtype=np.uint8)
+        copy_segments(merged_data, dense_starts(sorted_lens), cat,
+                      dense_starts(all_lens)[order], sorted_lens)
     w_offs, w_lens = coalesce(sorted_offs, sorted_lens)
     if int(w_lens.sum()) != int(sorted_lens.sum()):
         raise MPIIOError(
@@ -426,14 +336,6 @@ def merge_pieces(pieces: list[tuple[Segments, Optional[np.ndarray]]],
             "collective writes must target disjoint file regions"
         )
     return (w_offs, w_lens), merged_data
-
-
-def _merge_reorder_reference(cat: np.ndarray, src_start: np.ndarray,
-                             sorted_lens: np.ndarray) -> np.ndarray:
-    """Chunk-loop reorder (retained reference; few/large-segments path)."""
-    chunks = [cat[s:s + l]
-              for s, l in zip(src_start.tolist(), sorted_lens.tolist())]
-    return np.concatenate(chunks) if chunks else np.empty(0, np.uint8)
 
 
 def _aggregate_and_write(env: IOEnv, all_counts: np.ndarray,
@@ -501,7 +403,7 @@ def collective_read(env: IOEnv, segs: Segments,
     aggs, starts, ends, ntimes, my_idx = setup
     cb = env.hints.cb_buffer_size
     offs, lens = segs
-    prefix = _prefix_of(lens)
+    prefix = dense_starts(lens)
     total = int(lens.sum())
     verified = env.lfile.store is not None
     out = np.empty(total, dtype=np.uint8) if verified else None
@@ -595,7 +497,7 @@ def _read_and_reply(env: IOEnv, all_counts: np.ndarray, local_want,
     copy_t = nbytes / memcpy_bw
     yield Sleep(copy_t)
     env.breakdown.add("compute", copy_t)
-    union_prefix = _prefix_of(union[1])
+    union_prefix = dense_starts(union[1])
     local_reply = None
     verified = union_data is not None
     # replies go out as isends: a blocking (rendezvous) send here could

@@ -40,7 +40,8 @@ class PerfStats:
     exact_matches: int = 0
     #: MPI matches that consulted the ordered wildcard path
     wildcard_matches: int = 0
-    #: segments copied via vectorized gather/scatter (two-phase hot loops)
+    #: segments the copy kernel (``datatypes.packing.copy_segments``)
+    #: moved by row gather rather than by slice loop
     segments_vectorized: int = 0
     #: window pieces produced by the all-rounds two-phase planner
     rounds_planned: int = 0
@@ -127,8 +128,9 @@ class PerfStats:
 class _HotCounters:
     """Process-global counters for hot paths with no natural handle.
 
-    The two-phase copy/planner helpers are plain functions; threading a
-    stats object through every call would cost more than the counting.
+    The copy kernel and the two-phase planner are plain functions;
+    threading a stats object through every call would cost more than
+    the counting.
     ``sample_and_reset`` is called once per run by the harness, so sweep
     workers (separate processes) never mix counts.
     """

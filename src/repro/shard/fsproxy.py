@@ -127,10 +127,7 @@ class ShardFS:
             if flat.size != total:
                 raise FileSystemError(
                     f"data has {flat.size} bytes, segments cover {total}")
-            pos = 0
-            for off, ln in zip(offsets.tolist(), lengths.tolist()):
-                f.store.write(off, flat[pos:pos + ln])
-                pos += ln
+            f.store.write_segments(offsets, lengths, flat)
         for off, ln in zip(offsets.tolist(), lengths.tolist()):
             f.tracker.write(off, ln)
         got, delta = yield from self._rt.fs_call(

@@ -28,7 +28,9 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from repro.datatypes.flatten import Segments, coalesce
+from repro.datatypes.packing import scatter_segments
 from repro.errors import ValidationError
+from repro.lustre.store import ByteStore
 
 #: bump when oracle semantics change: part of every RunCache key, so a
 #: cached result validated under old semantics is never trusted by new ones
@@ -36,6 +38,8 @@ ORACLE_VERSION = 1
 
 #: bytes of context shown around the first mismatch
 _DIFF_CONTEXT = 8
+#: bytes compared per step of the in-place diff (bounds its temporaries)
+_DIFF_BLOCK = 1 << 20
 
 
 @dataclass
@@ -83,16 +87,12 @@ def sequential_golden(size: int,
     out = np.zeros(size, dtype=np.uint8)
     for (offs, lens), data in writes:
         flat = np.asarray(data, dtype=np.uint8).ravel()
-        total = int(np.asarray(lens).sum()) if len(lens) else 0
+        total = int(np.asarray(lens, dtype=np.int64).sum())
         if flat.size != total:
             raise ValidationError(
                 "golden_writer",
                 f"data has {flat.size} bytes, segments cover {total}")
-        pos = 0
-        for o, l in zip(np.asarray(offs).tolist(),
-                        np.asarray(lens).tolist()):
-            out[o:o + l] = flat[pos:pos + l]
-            pos += l
+        scatter_segments(out, offs, lens, flat)
     return out
 
 
@@ -137,7 +137,7 @@ class ShadowFile:
     def __init__(self, name: str, verified: bool):
         self.name = name
         self.verified = verified
-        self._buf = np.zeros(4096, dtype=np.uint8)
+        self._store = ByteStore()
         self.size = 0
         self._offs: list[int] = []
         self._lens: list[int] = []
@@ -160,15 +160,6 @@ class ShadowFile:
         self._unordered_lens: list[int] = []
 
     # -- recording ------------------------------------------------------
-    def _ensure(self, end: int) -> None:
-        if end > self._buf.size:
-            cap = self._buf.size
-            while cap < end:
-                cap *= 2
-            buf = np.zeros(cap, dtype=np.uint8)
-            buf[: self._buf.size] = self._buf
-            self._buf = buf
-
     def record(self, segs: Segments, data: Optional[np.ndarray]) -> int:
         """Apply one rank's write (its view segments + dense bytes).
 
@@ -209,16 +200,12 @@ class ShadowFile:
                     f"recorded write on {self.name!r} has {flat.size} "
                     f"data bytes but covers {total}")
             if total:
-                self._ensure(int(offs[-1] + lens[-1]))
-                pos = 0
-                for o, l in zip(offs.tolist(), lens.tolist()):
-                    self._buf[o:o + l] = flat[pos:pos + l]
-                    pos += l
+                self._store.write_segments(offs, lens, flat)
         self._offs.extend(offs.tolist())
         self._lens.extend(lens.tolist())
         self.total_recorded += total
         if total:
-            self.size = max(self.size, int(offs[-1] + lens[-1]))
+            self.size = max(self.size, int((offs + lens).max()))
         return token
 
     # -- happens-before tracking ----------------------------------------
@@ -261,7 +248,7 @@ class ShadowFile:
     @property
     def bytes(self) -> np.ndarray:
         """The expected file contents up to the current size (copy)."""
-        return self._buf[: self.size].copy()
+        return self._store.read(0, self.size)
 
     @property
     def extents(self) -> Segments:
@@ -276,17 +263,7 @@ class ShadowFile:
 
     def expected_read(self, segs: Segments) -> np.ndarray:
         """The dense bytes a correct read of ``segs`` must return."""
-        offs, lens = segs
-        total = int(np.asarray(lens).sum()) if len(lens) else 0
-        out = np.zeros(total, dtype=np.uint8)
-        end = int(offs[-1] + lens[-1]) if total else 0
-        self._ensure(end)
-        pos = 0
-        for o, l in zip(np.asarray(offs).tolist(),
-                        np.asarray(lens).tolist()):
-            out[pos:pos + l] = self._buf[o:o + l]
-            pos += l
-        return out
+        return self._store.read_segments(*segs)
 
     # -- diffing --------------------------------------------------------
     def diff_bytes(self, actual: np.ndarray) -> Optional[OracleDiff]:
@@ -295,21 +272,32 @@ class ShadowFile:
         ``actual`` may be shorter than the shadow (trailing zero bytes
         are never stored by the simulated fs) — missing tail bytes
         compare as zero, exactly like a short read would return them.
+        The two buffers are compared in place, block by block; only a
+        diverging file pays for the report's details.
         """
-        expected = self.bytes
-        got = np.zeros(expected.size, dtype=np.uint8)
-        n = min(expected.size, np.asarray(actual).size)
-        got[:n] = np.asarray(actual, dtype=np.uint8).ravel()[:n]
-        bad = np.flatnonzero(expected != got)
-        if bad.size == 0:
+        expected = self._store.view()[: self.size]
+        actual = np.asarray(actual, dtype=np.uint8).ravel()
+        first, nbytes = -1, 0
+        for lo in range(0, expected.size, _DIFF_BLOCK):
+            exp = expected[lo:lo + _DIFF_BLOCK]
+            got = actual[lo:lo + exp.size]
+            if got.size < exp.size:
+                got = np.pad(got, (0, exp.size - got.size))
+            differ = exp != got
+            if differ.any():
+                if first < 0:
+                    first = lo + int(differ.argmax())
+                nbytes += int(np.count_nonzero(differ))
+        if first < 0:
             return None
-        first = int(bad[0])
         lo = max(0, first - _DIFF_CONTEXT // 2)
         hi = min(expected.size, first + _DIFF_CONTEXT)
+        got = np.zeros(hi - lo, dtype=np.uint8)
+        seen = actual[lo:hi]
+        got[:seen.size] = seen
         return OracleDiff(file=self.name, kind="bytes", offset=first,
-                          nbytes=int(bad.size),
-                          expected=expected[lo:hi].tolist(),
-                          got=got[lo:hi].tolist())
+                          nbytes=nbytes, expected=expected[lo:hi].tolist(),
+                          got=got.tolist())
 
     def diff_extents(self, offsets, lengths) -> Optional[OracleDiff]:
         """Model-mode oracle: written coverage must match exactly."""

@@ -164,7 +164,7 @@ class Validator:
             return
         sh.complete_all()
         if lfile.store is not None:
-            diff = sh.diff_bytes(lfile.store.snapshot())
+            diff = sh.diff_bytes(lfile.store.view())
             self.report.checks["file_oracle_bytes"] += 1
         else:
             if not sh.exact_coverage:

@@ -36,9 +36,14 @@ class WorkloadIOStats:
 
 
 def deterministic_bytes(rank: int, n: int, salt: int = 0) -> np.ndarray:
-    """Cheap reproducible per-rank payload for verified runs."""
-    return ((np.arange(n, dtype=np.int64) * 131 + rank * 17 + salt * 29 + 7)
-            % 251).astype(np.uint8)
+    """Cheap reproducible per-rank payload for verified runs.
+
+    Byte ``i`` is ``(i * 131 + rank * 17 + salt * 29 + 7) mod 251``, which
+    repeats every 251 bytes: one period is built and tiled.
+    """
+    period = ((np.arange(251, dtype=np.int64) * 131
+               + (rank * 17 + salt * 29 + 7)) % 251).astype(np.uint8)
+    return np.tile(period, -(-n // 251))[:n]
 
 
 def payload_for(rank: int, n: int, verified: bool,

@@ -5,10 +5,10 @@ Two families:
 1. Property-style checks that the vectorized two-phase helpers
    (:func:`plan_rounds` + :func:`_send_lists_from_plan`,
    :func:`extract_data` / :func:`place_data`, :func:`merge_pieces`)
-   agree with the retained per-round / slice-loop reference
-   implementations on seeded random fragmented access patterns —
-   including empty ranks, single-byte segments and segments straddling
-   collective-buffer window boundaries.
+   agree with the per-round / slice-loop reference implementations kept
+   here on seeded random fragmented access patterns — including empty
+   ranks, single-byte segments and segments straddling collective-buffer
+   window boundaries.
 
 2. A determinism regression test asserting the smoke-scale hot-path
    configs still reproduce the virtual-time results recorded in
@@ -25,18 +25,64 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.datatypes.flatten import intersect_range
+from repro.datatypes.flatten import Segments, intersect_range
+from repro.datatypes.packing import dense_starts
 from repro.harness.hotpath import CONFIGS, run_config
-from repro.mpiio.two_phase import (_extract_data_reference,
-                                   _merge_reorder_reference,
-                                   _place_data_reference, _prefix_of,
-                                   _send_lists_for_round,
-                                   _send_lists_from_plan, data_positions,
+from repro.mpiio.two_phase import (_send_lists_from_plan, data_positions,
                                    extract_data, merge_pieces, place_data,
                                    plan_rounds)
 
 REF = (pathlib.Path(__file__).resolve().parents[1]
        / "benchmarks" / "ref_hotpath.json")
+
+
+def _send_lists_for_round(segs: Segments, aggs: list[int],
+                          starts: np.ndarray, ends: np.ndarray,
+                          rnd: int, cb: int) -> dict[int, Segments]:
+    """Per-round reference for :func:`plan_rounds`: my non-empty
+    intersections with each aggregator's round window.
+
+    Only the domains overlapping my overall extent are inspected.
+    """
+    offs, lens = segs
+    if offs.size == 0:
+        return {}
+    my_lo = int(offs[0])
+    my_hi = int(offs[-1] + lens[-1])
+    a_first = int(np.searchsorted(ends, my_lo, side="right"))
+    a_last = int(np.searchsorted(starts, my_hi, side="left"))
+    out: dict[int, Segments] = {}
+    for a in range(a_first, min(a_last, len(aggs))):
+        w_lo = int(starts[a]) + rnd * cb
+        w_hi = min(int(ends[a]), w_lo + cb)
+        sub = intersect_range(segs, w_lo, w_hi)
+        if sub[0].size:
+            out[a] = sub
+    return out
+
+
+def _extract_data_reference(starts: np.ndarray, sub_lens: np.ndarray,
+                            data: np.ndarray) -> np.ndarray:
+    """Slice-loop reference for :func:`extract_data`."""
+    pieces = [data[s:s + l] for s, l in zip(starts.tolist(), sub_lens.tolist())]
+    return np.concatenate(pieces)
+
+
+def _place_data_reference(starts: np.ndarray, sub_lens: np.ndarray,
+                          out: np.ndarray, incoming: np.ndarray) -> None:
+    """Slice-loop reference for :func:`place_data`."""
+    pos = 0
+    for s, l in zip(starts.tolist(), sub_lens.tolist()):
+        out[s:s + l] = incoming[pos:pos + l]
+        pos += l
+
+
+def _merge_reorder_reference(cat: np.ndarray, src_start: np.ndarray,
+                             sorted_lens: np.ndarray) -> np.ndarray:
+    """Chunk-loop reference for the reorder inside :func:`merge_pieces`."""
+    chunks = [cat[s:s + l]
+              for s, l in zip(src_start.tolist(), sorted_lens.tolist())]
+    return np.concatenate(chunks) if chunks else np.empty(0, np.uint8)
 
 
 def random_segments(rng: np.random.Generator, nsegs: int,
@@ -109,14 +155,13 @@ def test_plan_rounds_empty_rank_is_empty_plan():
     assert _send_lists_from_plan([], 0) == {}
 
 
-# force each copy-path branch: many tiny segments take the fancy-index
-# gather, few/large ones take the slice loop — both must match the
-# reference regardless of which branch fires
+# shapes for the copy kernel: lengths shared by many segments move by
+# row gather, rare ones by slice loop — both must match the reference
 COPY_PATTERNS = [
-    (10, 64, 8),       # vectorized: n >= 8, avg well under 512
-    (11, 500, 1),      # vectorized, single-byte
-    (12, 4, 100),      # slice loop: too few segments
-    (13, 16, 4096),    # slice loop: avg too large
+    (10, 64, 8),       # few distinct lengths, many segments each
+    (11, 500, 1),      # single-byte segments: one length
+    (12, 4, 100),      # too few segments to batch
+    (13, 16, 4096),    # many distinct lengths: the slice loop
 ]
 
 
@@ -126,7 +171,7 @@ def test_extract_place_match_reference(seed, nsegs, max_len):
     segs = random_segments(rng, nsegs, max_len)
     offs, lens = segs
     total = int(lens.sum())
-    prefix = _prefix_of(lens)
+    prefix = dense_starts(lens)
     data = rng.integers(0, 256, size=total, dtype=np.uint8)
 
     # a window clipping roughly the middle half, so some boundary
@@ -157,8 +202,8 @@ def test_extract_place_match_reference(seed, nsegs, max_len):
 
 
 @pytest.mark.parametrize("seed,npieces,nsegs,max_len", [
-    (20, 5, 30, 4),       # many tiny segments -> gather path
-    (21, 3, 2, 2000),     # few large segments -> slice-loop path
+    (20, 5, 30, 4),       # many tiny segments -> row gather
+    (21, 3, 2, 2000),     # few large segments -> slice loop
     (22, 4, 1, 1),        # single-byte pieces
 ])
 def test_merge_pieces_matches_reference(seed, npieces, nsegs, max_len):
@@ -188,12 +233,12 @@ def test_merge_pieces_matches_reference(seed, npieces, nsegs, max_len):
     np.testing.assert_array_equal(merged,
                                   np.array(expect, dtype=np.uint8))
 
-    # and the retained reference reorder agrees with whichever branch ran
+    # and the reference reorder agrees with whichever path ran
     all_offs = np.concatenate([p[0][0] for p in pieces])
     all_lens = np.concatenate([p[0][1] for p in pieces])
     order = np.argsort(all_offs, kind="stable")
     cat = np.concatenate([p[1] for p in pieces])
-    ref = _merge_reorder_reference(cat, _prefix_of(all_lens)[order],
+    ref = _merge_reorder_reference(cat, dense_starts(all_lens)[order],
                                    all_lens[order])
     np.testing.assert_array_equal(merged, ref)
 

@@ -102,6 +102,18 @@ class TestByteStore:
         bs.write(0, np.array([9], dtype=np.uint8))
         assert snap[0] == 1  # snapshot is a copy
 
+    def test_read_past_end_returns_zeros_without_growing(self):
+        bs = ByteStore()
+        bs.write(0, np.arange(1, 11, dtype=np.uint8))
+        capacity = bs._buf.size
+        np.testing.assert_array_equal(bs.read(300 << 20, 16),
+                                      np.zeros(16, np.uint8))
+        # far past the verified-mode cap: still a read, not a write error
+        np.testing.assert_array_equal(bs.read(1 << 30, 1), [0])
+        got = bs.read_segments([8, 300 << 20, 2], [4, 3, 2])
+        np.testing.assert_array_equal(got, [9, 10, 0, 0, 0, 0, 0, 3, 4])
+        assert bs._buf.size == capacity and bs.size == 10
+
     def test_size_cap(self):
         bs = ByteStore()
         with pytest.raises(FileSystemError):

@@ -8,6 +8,7 @@ from repro.datatypes import (BYTE, Contiguous, Indexed, Subarray, Vector,
                              coalesce, gather_segments, scatter_segments,
                              validate_segments)
 from repro.datatypes.flatten import intersect_range, total_bytes
+from repro.datatypes.packing import _MIN_ROWS, copy_segments
 
 # -- strategies -----------------------------------------------------------
 
@@ -143,3 +144,93 @@ def test_gather_scatter_roundtrip(nsegs, maxlen, data):
     scatter_segments(out, offs, lens, packed)
     packed2 = gather_segments(out, offs, lens)
     np.testing.assert_array_equal(packed, packed2)
+
+
+# -- the copy kernel ------------------------------------------------------
+
+#: how segment lengths are drawn: each mode steers the kernel into a
+#: different mix of row gathers and slice-loop fallbacks
+_LENGTH_MODES = {
+    "tiny": st.integers(0, 1),                # zero-length and single-byte
+    "equal": None,                            # one shared length
+    "few": st.sampled_from([0, 1, 7, 40]),    # a few lengths, many each
+    "distinct": st.integers(0, 300),          # mostly rare: slice loop
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_copy_segments_equals_slice_loop(data):
+    mode = data.draw(st.sampled_from(sorted(_LENGTH_MODES)))
+    nsegs = data.draw(st.sampled_from([1, 2, _MIN_ROWS - 1, _MIN_ROWS,
+                                       3 * _MIN_ROWS, 60]))
+    if mode == "equal":
+        width = data.draw(st.integers(0, 64))
+        lens = [width] * nsegs
+    else:
+        lens = data.draw(st.lists(_LENGTH_MODES[mode], min_size=nsegs,
+                                  max_size=nsegs))
+    lens = np.array(lens, dtype=np.int64)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+    # source: a view of a random buffer, maybe strided or reversed; its
+    # segments lie back to back or anywhere (overlapping is allowed),
+    # and the first one ends exactly at the buffer end
+    step = data.draw(st.sampled_from([1, 2, -1]))
+    packed_src = data.draw(st.booleans())
+    size = (int(lens.sum()) if packed_src else int(lens.max())
+            + data.draw(st.integers(0, 200)))
+    base = rng.integers(0, 256, size=size * abs(step), dtype=np.uint8)
+    src = base[::step]
+    assert src.size == size
+    if packed_src:
+        src_starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
+    else:
+        src_starts = rng.integers(0, size - lens + 1)
+        src_starts[0] = size - lens[0]
+
+    # destinations: disjoint, in segment order, shuffled (as
+    # merge_pieces uses it) or shuffled between fixed first and last
+    # ones; back to back or with gaps; the last one placed ends at the
+    # buffer end or a few bytes short of it
+    order = np.arange(nsegs)
+    shuffle = data.draw(st.sampled_from(["none", "all", "inner"]))
+    if shuffle == "all":
+        order = rng.permutation(nsegs)
+    elif shuffle == "inner" and nsegs > 2:
+        order[1:-1] = rng.permutation(order[1:-1])
+    gaps = (rng.integers(0, 4, size=nsegs) if data.draw(st.booleans())
+            else np.zeros(nsegs, dtype=np.int64))
+    dst_starts = np.zeros(nsegs, dtype=np.int64)
+    cursor = 0
+    for i in order:
+        cursor += int(gaps[i])
+        dst_starts[i] = cursor
+        cursor += int(lens[i])
+    pad = data.draw(st.sampled_from([0, 0, 3]))
+    dst = rng.integers(0, 256, size=cursor + pad, dtype=np.uint8)
+    want = dst.copy()
+    for d, s_, n in zip(dst_starts.tolist(), src_starts.tolist(),
+                        lens.tolist()):
+        want[d:d + n] = src[s_:s_ + n]
+
+    copy_segments(dst, dst_starts, src, src_starts, lens)
+    np.testing.assert_array_equal(dst, want)
+
+
+def test_copy_segments_rows_permuted_between_fixed_ends():
+    # first and last destinations sit where back-to-back rows would,
+    # the ones between are permuted: the rows must not be taken as one
+    # in-order block
+    width, nsegs = 5, 3 * _MIN_ROWS
+    order = np.arange(nsegs)
+    order[1:-1] = order[1:-1][::-1]
+    dst_starts = order * width
+    src = np.arange(nsegs * width, dtype=np.uint8)
+    src_starts = np.arange(nsegs) * width
+    dst = np.zeros(nsegs * width, dtype=np.uint8)
+    copy_segments(dst, dst_starts, src, src_starts, np.full(nsegs, width))
+    want = np.zeros_like(dst)
+    for d, s_ in zip(dst_starts.tolist(), src_starts.tolist()):
+        want[d:d + width] = src[s_:s_ + width]
+    np.testing.assert_array_equal(dst, want)

@@ -58,6 +58,35 @@ class TestShadowFile:
         # the fs never materialized the trailing zero bytes
         assert sh.diff_bytes(np.array([5, 6], dtype=np.uint8)) is None
 
+    def test_diff_counts_mismatches_past_a_short_store(self):
+        sh = ShadowFile("f", verified=True)
+        data = np.arange(1, 13, dtype=np.uint8)  # no zero byte anywhere
+        sh.record(segs((0, 12)), data)
+        actual = data[:8].copy()
+        actual[3] = 0xEE
+        actual[5] = 0xEE
+        diff = sh.diff_bytes(actual)
+        # two wrong bytes, plus the four nonzero ones the store lacks
+        assert (diff.offset, diff.nbytes) == (3, 6)
+        assert diff.expected == list(range(1, 12))
+        assert diff.got == [1, 2, 3, 0xEE, 5, 0xEE, 7, 8, 0, 0, 0]
+        # only the missing tail differs: the first offset is its start
+        diff = sh.diff_bytes(data[:8])
+        assert (diff.offset, diff.nbytes) == (8, 4)
+        assert diff.got == [5, 6, 7, 8, 0, 0, 0, 0]
+
+    def test_diff_spans_comparison_blocks(self):
+        from repro.validate.oracle import _DIFF_BLOCK
+
+        n = 2 * _DIFF_BLOCK + 5
+        data = np.full(n, 7, dtype=np.uint8)
+        sh = ShadowFile("f", verified=True)
+        sh.record(segs((0, n)), data)
+        actual = data.copy()
+        actual[[_DIFF_BLOCK + 1, 2 * _DIFF_BLOCK + 4]] = 0
+        diff = sh.diff_bytes(actual)
+        assert (diff.offset, diff.nbytes) == (_DIFF_BLOCK + 1, 2)
+
     def test_verified_record_requires_data(self):
         sh = ShadowFile("f", verified=True)
         with pytest.raises(ValidationError, match="without data"):
@@ -79,6 +108,14 @@ class TestShadowFile:
         sh.record(segs((2, 3)), np.array([4, 5, 6], dtype=np.uint8))
         out = sh.expected_read(segs((0, 4)))
         np.testing.assert_array_equal(out, [0, 0, 4, 5])
+
+    def test_expected_read_past_end_does_not_grow_the_shadow(self):
+        sh = ShadowFile("f", verified=True)
+        sh.record(segs((0, 4)), np.array([1, 2, 3, 4], dtype=np.uint8))
+        capacity = sh._store._buf.size
+        out = sh.expected_read(segs((2, 2), (200 << 20, 3)))
+        np.testing.assert_array_equal(out, [3, 4, 0, 0, 0])
+        assert sh._store._buf.size == capacity and sh.size == 4
 
     def test_oracle_diff_round_trips_and_describes(self):
         d = OracleDiff(file="f", kind="bytes", offset=3, nbytes=2,

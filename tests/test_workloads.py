@@ -14,6 +14,16 @@ from repro.workloads.tile_io import default_grid, tile_filetype
 from tests.conftest import Stack
 
 
+@pytest.mark.parametrize("n", [0, 1, 250, 251, 252, 502, 10**6 + 3])
+def test_deterministic_bytes_matches_closed_form(n):
+    for rank, salt in [(0, 0), (1, 0), (5, 3), (63, 2), (250, 251)]:
+        want = ((np.arange(n, dtype=np.int64) * 131 + rank * 17 + salt * 29
+                 + 7) % 251).astype(np.uint8)
+        got = deterministic_bytes(rank, n, salt)
+        assert got.dtype == np.uint8 and got.shape == (n,)
+        np.testing.assert_array_equal(got, want)
+
+
 class TestIORConfig:
     def test_block_must_be_multiple_of_transfer(self):
         with pytest.raises(ConfigError):
