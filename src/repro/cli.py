@@ -16,10 +16,6 @@ Usage::
     python -m repro.cli perf list           # profileable experiments
     python -m repro.cli cache [--clear]     # inspect / clear the run cache
     python -m repro.cli validate differential [--cases 200] [--seed 0]
-    python -m repro.cli serve [--port 8642] [--workers 2]   # job server
-    python -m repro.cli submit tile_io --nprocs 16 --wait   # one job
-    python -m repro.cli jobs [--tenant acme]                # job listing
-    python -m repro.cli result j000001 [--wait]             # fetch result
     python -m repro.cli list                # what is available
 
 ``--jobs/-j N`` evaluates each figure's experiment grid on an N-worker
@@ -179,6 +175,10 @@ def _run_perf(args: argparse.Namespace) -> int:
             print(f"unknown experiment {args.experiment!r}; available: "
                   f"{', '.join(sorted(CONFIGS))}", file=sys.stderr)
             return 2
+        if args.shards < 1:
+            print(f"bad --shards {args.shards}: must be >= 1",
+                  file=sys.stderr)
+            return 2
         table, perf = profile_config(args.experiment, smoke=not args.full,
                                      top=args.top, sort=args.sort,
                                      shards=args.shards)
@@ -218,176 +218,6 @@ def _run_validate(args: argparse.Namespace) -> int:
                   "(see the JSON report)", file=sys.stderr)
         return 1
     return 0
-
-
-def _run_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
-    from repro.errors import ConfigError
-    from repro.service.server import ServiceConfig, serve
-
-    try:
-        config = ServiceConfig(
-            host=args.host, port=args.port, workers=args.workers,
-            max_queue=args.max_queue,
-            max_tenant_queue=args.max_tenant_queue,
-            cache=not args.no_cache, validate=args.validate,
-            pool=args.pool)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    def ready(server) -> None:
-        print(f"simulation service listening on {server.url} "
-              f"({config.workers} {config.pool} workers, "
-              f"queue bound {config.max_queue})", file=sys.stderr)
-
-    try:
-        asyncio.run(serve(config, ready=ready))
-    except KeyboardInterrupt:
-        print("interrupted; shutting down", file=sys.stderr)
-    except OSError as exc:  # port in use, bad host, ...
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _job_line(job: dict) -> str:
-    extra = ""
-    if job.get("coalesced_with"):
-        extra = f" <- {job['coalesced_with']}"
-    return (f"{job['id']}  {job['state']:>7}  {job['source']:>9}  "
-            f"tenant={job['tenant']}  {job['workload']}"
-            f"/np{job['nprocs']}{extra}")
-
-
-def _print_result(payload: dict) -> int:
-    from repro.harness.report import mb_per_s
-
-    job = payload.get("job", {})
-    if payload.get("state") == "failed":
-        error = payload.get("error") or {}
-        print(f"{job.get('id', '?')} FAILED: "
-              f"{error.get('type', '?')}: {error.get('message', '')}",
-              file=sys.stderr)
-        return 1
-    result = payload["result"]
-    print(_job_line(job))
-    print(f"  write bandwidth: {mb_per_s(result['write_bandwidth']):8.2f} MB/s")
-    if result.get("read_bandwidth"):
-        print(f"  read bandwidth:  {mb_per_s(result['read_bandwidth']):8.2f} MB/s")
-    print(f"  simulated time:  {result['elapsed_total']:.6f} s")
-    print(f"  events: {result['events']}, messages: {result['messages']}, "
-          f"backend: {result['backend']}")
-    return 0
-
-
-def _run_submit(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service.client import (BackpressureError, ServiceClient,
-                                      ServiceError)
-
-    def parse_json_arg(raw: str | None, what: str) -> dict:
-        if not raw:
-            return {}
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"bad {what} JSON: {exc}")
-        if not isinstance(obj, dict):
-            raise ValueError(f"{what} must be a JSON object")
-        return obj
-
-    try:
-        if args.task_file:
-            with open(args.task_file, encoding="utf-8") as fh:
-                descriptor = json.load(fh)
-            if not isinstance(descriptor, dict):
-                raise ValueError("--task-file must hold a JSON object")
-        else:
-            if not args.workload:
-                print("error: pass a workload name or --task-file",
-                      file=sys.stderr)
-                return 2
-            config = parse_json_arg(args.config, "--config")
-            if args.nprocs is not None:
-                config["nprocs"] = args.nprocs
-            if args.shards is not None:
-                config["shards"] = args.shards
-            descriptor = {"config": config, "workload": args.workload}
-            wl = parse_json_arg(args.workload_config, "--workload-config")
-            if wl:
-                descriptor["workload_config"] = wl
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    client = ServiceClient(args.url)
-    try:
-        job = client.submit(descriptor, tenant=args.tenant,
-                            retries=args.retries)
-    except BackpressureError as exc:
-        print(f"rejected (backpressure): {exc}; retry after "
-              f"{exc.retry_after:g}s", file=sys.stderr)
-        return 3
-    except (ServiceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(_job_line(job))
-    if not args.wait:
-        return 0
-    try:
-        return _print_result(client.wait(job["id"], timeout=args.timeout))
-    except (ServiceError, OSError, TimeoutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-
-def _run_jobs(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    try:
-        jobs = client.jobs(args.tenant)
-    except (ServiceError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not jobs:
-        print("no jobs")
-        return 0
-    for job in jobs:
-        print(_job_line(job))
-    return 0
-
-
-def _run_result(args: argparse.Namespace) -> int:
-    from repro.service.client import ServiceClient, ServiceError
-
-    client = ServiceClient(args.url)
-    try:
-        if args.wait:
-            payload = client.wait(args.job_id, timeout=args.timeout)
-        else:
-            payload = client.result(args.job_id)
-    except ServiceError as exc:
-        if exc.status == 409:
-            state = exc.payload.get("state", "pending")
-            print(f"{args.job_id} is still {state} (use --wait)",
-                  file=sys.stderr)
-            return 3
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, TimeoutError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    return _print_result(payload)
-
-
-def _add_service_url(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--url", default="http://127.0.0.1:8642",
-                        help="service endpoint "
-                             "(default http://127.0.0.1:8642)")
 
 
 def _add_parallel_flags(parser: argparse.ArgumentParser) -> None:
@@ -510,68 +340,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the JSON report here (the CI "
                              "oracle-diff artifact)")
 
-    p_serve = sub.add_parser(
-        "serve", help="run the simulation job server (asyncio, HTTP/JSON)")
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8642,
-                         help="TCP port (0 = ephemeral; default 8642)")
-    p_serve.add_argument("--workers", type=int, default=2, metavar="N",
-                         help="concurrent pool executions (default 2)")
-    p_serve.add_argument("--max-queue", type=int, default=64, metavar="N",
-                         help="global queue bound before 429s (default 64)")
-    p_serve.add_argument("--max-tenant-queue", type=int, default=None,
-                         metavar="N",
-                         help="per-tenant queue bound (default: --max-queue)")
-    p_serve.add_argument("--pool", choices=("process", "thread"),
-                         default="process",
-                         help="worker pool kind (default process)")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="disable the shared run cache")
-    p_serve.add_argument("--validate", action="store_true",
-                         help="run every job under the correctness oracle")
-
-    p_submit = sub.add_parser(
-        "submit", help="submit one simulation job to a running server")
-    p_submit.add_argument("workload", nargs="?", default=None,
-                          help="registered workload name (tile_io, ior, "
-                               "btio, flash_io); or use --task-file")
-    p_submit.add_argument("--nprocs", type=int, default=None,
-                          help="shorthand for config nprocs")
-    p_submit.add_argument("--shards", type=int, default=None, metavar="N",
-                          help="shorthand for config shards (sharded "
-                               "parallel execution for parcoll workloads)")
-    p_submit.add_argument("--config", default=None, metavar="JSON",
-                          help="ExperimentConfig fields as a JSON object")
-    p_submit.add_argument("--workload-config", default=None, metavar="JSON",
-                          help="workload config fields as a JSON object")
-    p_submit.add_argument("--task-file", default=None, metavar="PATH",
-                          help="full task descriptor JSON file "
-                               "(overrides the inline flags)")
-    p_submit.add_argument("--tenant", default="default",
-                          help="tenant name for fair-share accounting")
-    p_submit.add_argument("--retries", type=int, default=0, metavar="N",
-                          help="retry a 429 up to N times, honoring "
-                               "Retry-After (default 0)")
-    p_submit.add_argument("--wait", action="store_true",
-                          help="follow the job and print its result")
-    p_submit.add_argument("--timeout", type=float, default=600.0,
-                          help="--wait bound in seconds (default 600)")
-    _add_service_url(p_submit)
-
-    p_jobs = sub.add_parser("jobs", help="list jobs on a running server")
-    p_jobs.add_argument("--tenant", default=None,
-                        help="only this tenant's jobs")
-    _add_service_url(p_jobs)
-
-    p_result = sub.add_parser(
-        "result", help="fetch one job's result from a running server")
-    p_result.add_argument("job_id")
-    p_result.add_argument("--wait", action="store_true",
-                          help="block until the job is terminal")
-    p_result.add_argument("--timeout", type=float, default=600.0,
-                          help="--wait bound in seconds (default 600)")
-    _add_service_url(p_result)
-
     sub.add_parser("list", help="list available figures")
 
     args = parser.parse_args(argv)
@@ -639,14 +407,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     if args.command == "validate":
         return _run_validate(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "submit":
-        return _run_submit(args)
-    if args.command == "jobs":
-        return _run_jobs(args)
-    if args.command == "result":
-        return _run_result(args)
     if args.command == "list":
         for number in sorted(FIGURES, key=lambda s: int(s)):
             doc = (FIGURES[number].__doc__ or "").strip().splitlines()[0]

@@ -234,8 +234,7 @@ class CacheStats:
     ``corrupt`` counts corrupted-entry fallbacks: entries that existed
     on disk but failed to unpickle (truncated write, version skew) and
     were dropped and recomputed.  Every corrupt fallback also counts as
-    a miss.  The service ``/metrics`` endpoint and ``run_report`` read
-    these same counters.
+    a miss.  ``run_report(cache=)`` prints these counters.
     """
 
     hits: int = 0

@@ -49,8 +49,7 @@ def run_report(result: Any, title: str | None = None,
     ``result`` is a :class:`~repro.harness.runner.RunResult`; the
     breakdown table includes per-category operation counts.  ``cache``
     is an optional :class:`~repro.harness.parallel.RunCache` (or its
-    ``CacheStats``) whose hit/miss/store/corrupt counters are appended —
-    the same counters the service ``/metrics`` endpoint exposes.
+    ``CacheStats``) whose hit/miss/store/corrupt counters are appended.
     """
     cfg = result.config
     lines = [title or f"run: {cfg.nprocs} procs, backend {result.backend}"]

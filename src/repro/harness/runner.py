@@ -65,6 +65,8 @@ class ExperimentConfig:
     def build(self) -> tuple[World, LustreFS, MPIIO]:
         from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 
+        if self.shards < 1:
+            raise ConfigError(f"shards must be >= 1, got {self.shards}")
         machine = MachineConfig(nprocs=self.nprocs,
                                 cores_per_node=self.cores_per_node,
                                 mapping=self.mapping)

@@ -56,9 +56,6 @@ class IOHints:
     parcoll_replan: str = "once"
     #: align file-domain boundaries to stripe boundaries
     align_file_domains: bool = False
-    #: consolidate per-core pieces through a node leader before the
-    #: inter-node exchange (the paper's Section 6 multi-core future work)
-    cb_node_consolidation: bool = False
     #: overlap the aggregator's file write of round r with round r+1's
     #: exchange (the split-phase collective I/O of the paper's related
     #: work [13], realized with background tasks instead of threads —

@@ -4,11 +4,12 @@ Two-level collective I/O in the style of Kang et al.: before any
 inter-node exchange, the cores of one physical node funnel their whole
 access (request list + data) to a node *leader* — intra-node traffic is a
 memcpy-priced hop — and only the leaders run a collective over a derived
-leaders-only communicator.  Where ``cb_node_consolidation`` consolidates
-*per exchange round inside* ext2ph, this protocol aggregates *whole
-requests before* the protocol runs, so the inter-node collective sees one
+leaders-only communicator.  This is the request consolidation the paper's
+Section 6 proposes for multi-core nodes; aggregating *whole requests
+before* the protocol runs means the inter-node collective sees one
 (merged, coalesced) request per node and its synchronization cost scales
-with the node count, not the core count.
+with the node count, not the core count.  Ablation D
+(``benchmarks/bench_ablation_node_consolidation.py``) quantifies it.
 
 The inner collective composes with FA partitioning: with
 ``parcoll_ngroups > 1`` the leaders run ParColl over the leaders
@@ -30,21 +31,44 @@ import numpy as np
 
 from repro.datatypes.flatten import Segments, coalesce
 from repro.datatypes.packing import dense_starts
-from repro.mpiio.consolidation import _SEG_HEADER, node_groups
 from repro.mpiio.protocols import (CollectiveProtocol, _reject_options,
                                    register_protocol)
-from repro.mpiio.two_phase import (IOEnv, collective_read, collective_write,
-                                   extract_data, merge_pieces)
+from repro.mpiio.two_phase import (SEG_HEADER_BYTES, IOEnv, collective_read,
+                                   collective_write, extract_data,
+                                   merge_pieces)
 from repro.sim.effects import Sleep
 from repro.simmpi.payload import Payload
 
-#: tag bases for node-aggregation traffic (clear of two-phase and
-#: consolidation tags)
+#: tag bases for node-aggregation traffic (clear of two-phase tags)
 NA_DATA_TAG = (1 << 20) + 30_000_000
 NA_REQ_TAG = (1 << 20) + 40_000_000
 NA_REP_TAG = (1 << 20) + 50_000_000
 
 _EMPTY_SEGS = (np.empty(0, np.int64), np.empty(0, np.int64))
+
+
+def node_groups(comm, machine) -> tuple[int, list[int]]:
+    """This rank's (leader, node members) in communicator ranks.
+
+    The leader is the lowest communicator rank on the physical node —
+    which is also what the default aggregator selection picks, so
+    aggregators are usually leaders and pay no extra hop.
+
+    The result depends only on the (communicator, machine) pair, both
+    fixed for a world's lifetime, so it is computed once per node per
+    communicator and cached on the shared descriptor instead of being
+    rebuilt inside every collective call.
+    """
+    cache = comm.desc.node_cache
+    my_node = machine.node_of_rank(comm.desc.members[comm.rank])
+    cached = cache.get(my_node)
+    if cached is not None:
+        return cached
+    members = [r for r in range(comm.size)
+               if machine.node_of_rank(comm.desc.members[r]) == my_node]
+    out = (members[0], members)
+    cache[my_node] = out
+    return out
 
 
 def _leaders_comm(comm, machine, state) -> Generator[Any, Any, Any]:
@@ -69,14 +93,12 @@ def _inner_env(env: IOEnv, sub, fa: bool) -> IOEnv:
 
     Parent-communicator aggregator placements (``cb_config_ranks``) do
     not translate to leader ranks, so the inner collective falls back to
-    the default per-node aggregator selection; node consolidation is
-    moot (one rank per node already).  The node-merged union is
+    the default per-node aggregator selection.  The node-merged union is
     re-derived per call, so the inner FA plan must not assume a
     stationary pattern: ``parcoll_replan='once'`` is upgraded to
     ``'auto'`` (an explicit ``'always'`` is respected).
     """
     hints = env.hints.with_(cb_config_ranks=None,
-                            cb_node_consolidation=False,
                             parcoll_ngroups=env.hints.parcoll_ngroups
                             if fa else 1,
                             parcoll_replan="auto"
@@ -105,7 +127,7 @@ def nodeagg_write(env: IOEnv, segs: Segments, data: Optional[np.ndarray],
     total = int(lens.sum())
     verified = env.lfile.store is not None
     if comm.rank != leader:
-        nbytes = total + _SEG_HEADER * int(offs.size)
+        nbytes = total + SEG_HEADER_BYTES * int(offs.size)
         req = comm.isend(Payload(nbytes, (offs, lens, data)), dest=leader,
                          tag=NA_DATA_TAG)
         yield from comm.waitall([req], category="exchange")
@@ -150,7 +172,8 @@ def nodeagg_read(env: IOEnv, segs: Segments, state: dict
     total = int(lens.sum())
     verified = env.lfile.store is not None
     if comm.rank != leader:
-        req = comm.isend(Payload(_SEG_HEADER * int(offs.size), (offs, lens)),
+        req = comm.isend(Payload(SEG_HEADER_BYTES * int(offs.size),
+                                 (offs, lens)),
                          dest=leader, tag=NA_REQ_TAG)
         yield from comm.waitall([req], category="exchange")
         payload = yield from comm.recv(source=leader, tag=NA_REP_TAG,

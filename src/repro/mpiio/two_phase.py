@@ -243,31 +243,11 @@ def collective_write(env: IOEnv, segs: Segments,
     memcpy_bw = comm.world.network.params.memcpy_bandwidth
     use_batch = comm.backend.fidelity("exchange", comm=comm) == "macro"
     pending: list = []
-    node_info = None
-    if env.hints.cb_node_consolidation:
-        from repro.mpiio.consolidation import node_groups
-
-        node_info = node_groups(comm, env.machine)
     plan = plan_rounds(segs, aggs, starts, ends, cb)
     if env.validator is not None:
         env.validator.check_exchange_plan(segs, plan, ntimes)
     for rnd in range(ntimes):
         send_lists = _send_lists_from_plan(plan, rnd)
-        if node_info is not None:
-            from repro.mpiio.consolidation import consolidated_write_round
-
-            pieces_by_agg = {}
-            for a, sub in send_lists.items():
-                piece_data = (None if model
-                              else extract_data(segs, prefix, data, sub))
-                if translate is not None:
-                    sub = translate(sub)
-                pieces_by_agg[a] = (sub, piece_data)
-            leader, members = node_info
-            yield from consolidated_write_round(
-                env, aggs, my_idx, rnd, pieces_by_agg, leader, members,
-                memcpy_bw, _aggregate_and_write, _counts_vector)
-            continue
         counts = _counts_vector(send_lists, aggs, comm.size)
         all_counts = yield from comm.alltoall(counts, nbytes_each=8,
                                               category="sync")

@@ -53,26 +53,11 @@ class PerfStats:
     gc_collections: tuple[int, int, int] = (0, 0, 0)
     #: host seconds the cyclic collector paused the engine run for
     gc_pause_s: float = 0.0
-    #: run-cache counters (populated by batch-level aggregation — the
-    #: executor and the service fold :class:`~repro.harness.parallel.
-    #: CacheStats` in via :func:`add_cache`; zero on single runs)
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_stores: int = 0
-    cache_corrupt: int = 0
     #: shard-observability block of a sharded run (None on unsharded
     #: runs): requested/effective shard counts, fallback reason,
     #: synchronization rounds, per-shard event counts, wall and CPU
     #: times, and the load-imbalance ratio (max shard CPU / mean)
     shard: Optional[dict] = None
-
-    def add_cache(self, stats) -> "PerfStats":
-        """Fold a :class:`~repro.harness.parallel.CacheStats` in."""
-        self.cache_hits += stats.hits
-        self.cache_misses += stats.misses
-        self.cache_stores += stats.stores
-        self.cache_corrupt += stats.corrupt
-        return self
 
     @property
     def events_per_sec(self) -> float:
@@ -99,8 +84,6 @@ class PerfStats:
             if f.name == "gc_pause_s":
                 out.append(("gc pause seconds", f"{v:.3f}"))
                 continue
-            if f.name.startswith("cache_") and not v:
-                continue  # cache counters only exist on aggregated stats
             out.append((f.name.replace("_", " "), f"{v:,}"))
         if self.wall_seconds > 0:
             out.append(("events per sec", f"{self.events_per_sec:,.0f}"))

@@ -72,7 +72,8 @@ class CommDescriptor:
         #: per-op fidelity ledger for the backend symmetry check:
         #: op seq -> [fidelity, category, first group rank, arrivals]
         self.fidelities: dict[int, list] = {}
-        #: node -> (leader, members) cache for cb_node_consolidation
+        #: node -> (leader, members) cache for the nodeagg protocol
+        #: (:func:`repro.mpiio.protocols.nodeagg.node_groups`)
         self.node_cache: dict[int, tuple[int, list[int]]] = {}
 
 

@@ -77,6 +77,14 @@ class TestPerf:
         assert code == 2
         assert "unknown experiment" in err
 
+    @pytest.mark.parametrize("shards", ["0", "-3"])
+    def test_perf_profile_bad_shard_count_exits_2(self, cli, shards):
+        code, out, err = cli("perf", "profile", "tileio_detailed",
+                             "--shards", shards)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"bad --shards {shards}: must be >= 1"
+
 
 class TestFaults:
     def test_classes_lists_each_with_severities(self, cli):

@@ -13,7 +13,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.errors import ShardError
+from repro.errors import ConfigError, ShardError
 from repro.faults import FaultPlan
 from repro.harness.runner import ExperimentConfig, run_experiment
 from repro.shard import analyze, workload_hints_of
@@ -142,6 +142,13 @@ class TestFallbacks:
             p = plan(**kw)
             assert not p.active
             assert needle in p.reason
+
+    @pytest.mark.parametrize("shards", [0, -3])
+    def test_shard_count_below_one_rejected(self, shards):
+        with pytest.raises(ConfigError, match="shards"):
+            ExperimentConfig(nprocs=8, shards=shards).build()
+        with pytest.raises(ConfigError, match="shards"):
+            run_experiment(config(shards), parcoll_workload())
 
     def test_shards_1_is_trivial(self):
         p = analyze(config(1), {"protocol": "parcoll",
