@@ -106,20 +106,27 @@ class NetworkModel:
             lat += self.params.hop_latency * self.topology.hops(a, b)
         return lat
 
-    def transfer(self, src_rank: int, dst_rank: int, nbytes: int) -> tuple[float, float]:
+    def transfer(self, src_rank: int, dst_rank: int, nbytes: int,
+                 now: Optional[float] = None) -> tuple[float, float]:
         """Reserve resources for a message; returns ``(sender_free, arrival)``.
 
         ``sender_free`` is when the sending CPU may proceed (data handed to
         the NIC / copied locally); ``arrival`` is when the payload is fully
         available at the receiver.  Non-blocking: callers sleep as their
         protocol requires.
+
+        ``now`` is the issue time (default: the engine clock).  The macro
+        walker issues messages ahead of the clock; it does so in global
+        chronological order, so reserving the real NICs leaves them in
+        exactly the state per-message calls at those times would.
         """
         self.messages_sent += 1
         self.bytes_sent += nbytes
         node_of = self._node_of
         src_node = node_of[src_rank]
         dst_node = node_of[dst_rank]
-        now = self.engine.now
+        if now is None:
+            now = self.engine.now
         p = self.params
         if src_node == dst_node:
             done = now + p.send_overhead + nbytes / p.memcpy_bandwidth

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster.machine import Machine
-from repro.errors import MPIIOError
+from repro.errors import ConfigError, MPIIOError
 from repro.lustre.layout import StripeLayout
 from repro.mpiio.hints import IOHints
 
@@ -36,12 +36,14 @@ def default_aggregators(member_world_ranks: list[int], machine: Machine,
                     f"cb_config_ranks entry {r} out of range for size {size}"
                 )
         return list(hints.cb_config_ranks)
-    seen_nodes: dict[int, int] = {}
-    for grank, wrank in enumerate(member_world_ranks):
-        node = machine.node_of_rank(wrank)
-        if node not in seen_nodes:
-            seen_nodes[node] = grank
-    aggs = [seen_nodes[n] for n in sorted(seen_nodes)]
+    ranks = np.asarray(member_world_ranks, dtype=np.int64)
+    bad = ranks[(ranks < 0) | (ranks >= machine.nprocs)]
+    if bad.size:
+        raise ConfigError(
+            f"rank {int(bad[0])} out of range [0, {machine.nprocs})")
+    # first member on each node, nodes ascending
+    _nodes, first = np.unique(machine.node_of[ranks], return_index=True)
+    aggs = first.tolist()
     if hints.cb_nodes is not None:
         aggs = aggs[: hints.cb_nodes]
     return aggs

@@ -122,11 +122,12 @@ def _setup(env: IOEnv, segs: Segments
     lo = int(offs[0]) if offs.size else -1
     hi = int(offs[-1] + lens[-1]) if offs.size else -1
     extents = yield from comm.allgather((lo, hi), category="sync")
-    nonempty = [(l, h) for (l, h) in extents if l >= 0]
-    if not nonempty:
+    ext = np.array(extents, dtype=np.int64)
+    ext = ext[ext[:, 0] >= 0]
+    if not ext.size:
         return None
-    fd_min = min(l for l, _ in nonempty)
-    fd_max = max(h for _, h in nonempty)
+    fd_min = int(ext[:, 0].min())
+    fd_max = int(ext[:, 1].max())
     members = comm.desc.members
     aggs = default_aggregators(members, env.machine, env.hints)
     align = env.lfile.layout if env.hints.align_file_domains else None
@@ -318,6 +319,13 @@ def merge_pieces(pieces: list[tuple[Segments, Optional[np.ndarray]]],
     return (w_offs, w_lens), merged_data
 
 
+def _sources(all_counts: np.ndarray, me: int) -> list[int]:
+    """Ranks with a nonzero count for this aggregator, ascending, minus
+    ``me``: the ``irecv`` posting order fixes matching and sequence
+    numbers."""
+    return [s for s in np.flatnonzero(all_counts > 0).tolist() if s != me]
+
+
 def _aggregate_and_write(env: IOEnv, all_counts: np.ndarray,
                          local_piece, rnd: int, memcpy_bw: float,
                          pending: Optional[list] = None
@@ -330,9 +338,8 @@ def _aggregate_and_write(env: IOEnv, all_counts: np.ndarray,
     the caller joins all outstanding writes after the last round.
     """
     comm = env.comm
-    sources = [s for s in range(comm.size)
-               if s != comm.rank and int(all_counts[s]) > 0]
-    recv_reqs = [comm.irecv(source=s, tag=TP_TAG + rnd) for s in sources]
+    recv_reqs = [comm.irecv(source=s, tag=TP_TAG + rnd)
+                 for s in _sources(all_counts, comm.rank)]
     pieces = []
     if local_piece is not None:
         pieces.append(local_piece)
@@ -453,9 +460,8 @@ def _read_and_reply(env: IOEnv, all_counts: np.ndarray, local_want,
     (two aggregators serving each other would otherwise cycle).
     """
     comm = env.comm
-    sources = [s for s in range(comm.size)
-               if s != comm.rank and int(all_counts[s]) > 0]
-    reqs = [comm.irecv(source=s, tag=TP_TAG + rnd) for s in sources]
+    reqs = [comm.irecv(source=s, tag=TP_TAG + rnd)
+            for s in _sources(all_counts, comm.rank)]
     got = yield from comm.waitall(reqs, category="exchange")
     requests: list[tuple[int, Segments]] = []
     for (payload, status) in got:

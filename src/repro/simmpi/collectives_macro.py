@@ -22,9 +22,10 @@ The walk reproduces the engine's execution *bit-identically*:
   non-collective traffic (pipelined writes, point-to-point exchange)
   exactly as the per-message simulation would;
 * completion times come from the same
-  :meth:`~repro.sim.resources.FIFOResource.reserve_span` arithmetic in
-  the same global order, including rendezvous header/clear-to-send/data
-  phases and piecewise fault speed profiles;
+  :meth:`~repro.cluster.network.NetworkModel.transfer` NIC arithmetic in
+  the same global order (the walker passes its issue time), including
+  rendezvous header/clear-to-send/data phases and piecewise fault speed
+  profiles;
 * ties are broken exactly like the engine's ``(time, seq)`` heap key —
   the walker allocates its sequence numbers *from the engine's own
   counter*, in the same order the per-message schedule would have
@@ -60,7 +61,7 @@ for single-rank communicators (whose detailed path never yields).
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Any, Generator, Optional, TYPE_CHECKING
+from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -78,6 +79,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.simmpi.world import Communicator, World
 
 _INF = float("inf")
+
+#: a rank's step function: step k as ``(dst, dstep, nb, src)``, or None
+#: past the last step (see :class:`_Driver`)
+_StepFn = Callable[[int], Optional[tuple]]
 
 
 class MacroBackend(_LeafBackend):
@@ -123,57 +128,29 @@ class _MacroSite:
         self.extra: dict = {}
 
 
-def _transfer_at(net, t: float, src_rank: int, dst_rank: int,
-                 nbytes: int) -> tuple[float, float]:
-    """:meth:`NetworkModel.transfer` issued at logical time ``t``.
-
-    The walker calls this in global chronological order (``t`` is always
-    the engine's current time or the walker's quiescent-advance clock),
-    so reserving the real NIC resources directly (no shadow state)
-    leaves them in exactly the state N per-message ``transfer()`` calls
-    would have.
-    """
-    net.messages_sent += 1
-    net.bytes_sent += nbytes
-    node_of = net._node_of
-    src_node = node_of[src_rank]
-    dst_node = node_of[dst_rank]
-    p = net.params
-    if src_node == dst_node:
-        done = t + p.send_overhead + nbytes / p.memcpy_bandwidth
-        return done, done
-    net.cross_node_messages += 1
-    net.cross_node_bytes += nbytes
-    tx_start, tx_done = net.tx[src_node].reserve_span(t, nbytes)
-    if net._flat_wire:
-        first_byte = tx_start + p.latency
-    else:
-        first_byte = tx_start + net.wire_latency(src_node, dst_node)
-    arrival = net.rx[dst_node].reserve_span(first_byte, nbytes)[1]
-    return tx_done, arrival
-
-
 class _Driver:
     """Per-site replay state for one collective round.
 
-    ``progs[r]`` is rank r's step list; each step is ``(dst, dstep, nb,
-    src)``: send ``nb`` bytes to rank ``dst`` (matched by the receiver's
-    step index ``dstep``), then wait the receive of a message from some
-    rank (``src >= 0``), then wait the send.  ``dst = -1`` is a
-    receive-only step, ``src = -1`` send-only — exactly the three shapes
-    the detailed algorithms use (``sreq = isend; yield irecv; yield
-    sreq``).  ``nb`` may be a zero-argument callable, resolved when the
-    step is issued — sizes that depend on other ranks' payloads
-    (forwarded blocks, partial reductions) are only known once the data
-    has causally propagated, which is exactly when the step runs.
+    ``steps[r]`` is rank r's step function: ``steps[r](k)`` computes the
+    k-th step ``(dst, dstep, nb, src)`` when the walker issues it, and
+    returns None past the last one.  A step sends ``nb`` bytes to rank
+    ``dst`` (matched by the receiver's step index ``dstep``), then waits
+    the receive of a message from some rank (``src >= 0``), then waits
+    the send.  ``dst = -1`` is a receive-only step, ``src = -1``
+    send-only — exactly the three shapes the detailed algorithms use
+    (``sreq = isend; yield irecv; yield sreq``).  Nothing is built ahead:
+    a round holds O(P) program state however many steps its schedule
+    has, and sizes that depend on other ranks' payloads (forwarded
+    blocks, partial reductions) are resolved once the data has causally
+    propagated, which is exactly when the step runs.
 
     All scheduling state (heap, sequence counter, wake) lives on the
     world's shared :class:`_Walker`; the driver only holds the round's
-    step programs and per-rank progress.
+    step functions and per-rank progress.
     """
 
     __slots__ = ("core", "members", "p", "site", "idx", "step_i",
-                 "pend", "inbox", "progs", "results", "nmsgs", "done")
+                 "pend", "inbox", "steps", "results", "nmsgs", "done")
 
     def __init__(self, comm: "Communicator", site: _MacroSite,
                  core: "_Walker"):
@@ -191,28 +168,29 @@ class _Driver:
         #: the delivery is scheduled, ("h", src, nb) for an unmatched
         #: rendezvous header sitting in the unexpected queue
         self.inbox: dict[tuple[int, int], tuple] = {}
-        self.progs: list[Optional[list]] = [None] * p
+        self.steps: Optional[list] = [None] * p
         self.results: Optional[list] = None
         self.nmsgs = 0
         self.done = 0
 
-    def push_initial(self, r: int, prog: list) -> None:
+    def push_initial(self, r: int, step: _StepFn) -> None:
         core = self.core
-        self.progs[r] = prog
+        self.steps[r] = step
         heappush(core.heap,
                  (self.site.arrivals[r], 1, core.initc - _BIG, 0, r, self))
         core.initc += 1
         self.idx += 1
 
     def release(self) -> None:
-        """Drop the finished round's programs, results and site.
+        """Drop the finished round's step functions, results and site.
 
-        ``site.driver`` points here while the step programs' size thunks
-        close over ``site``: without this the round is a reference cycle
-        holding its P² step tuples until a full cyclic collection.
+        ``site.driver`` points here while the step functions close over
+        ``site``: without this the round is a reference cycle holding
+        the site's payloads and the per-rank results until a full cyclic
+        collection.
         """
         self.site = None
-        self.progs = None
+        self.steps = None
         self.results = None
 
     def _complete(self, r: int, pe: list) -> None:
@@ -342,7 +320,7 @@ class _Walker:
         # code 2: rendezvous data phase — a real heap callback in
         # the per-message schedule too
         src, dst, dstep, nb = arg
-        free, arr = _transfer_at(net, t, members[src], members[dst], nb)
+        free, arr = net.transfer(members[src], members[dst], nb, t)
         sa = eng._seq + 1
         sb = sa + 1
         eng._seq = sb
@@ -370,6 +348,7 @@ class _Walker:
         """
         eng = self.eng
         net = self.net
+        transfer = net.transfer
         members = drv.members
         node_of = self.node_of
         pend = drv.pend
@@ -377,11 +356,11 @@ class _Walker:
         step_i = drv.step_i
         eager = self.eager
         cts_base = self.cts_base
-        prog = drv.progs[r]
-        nsteps = len(prog)
+        step = drv.steps[r]
         while True:
             k = step_i[r]
-            if k >= nsteps:
+            st = step(k)
+            if st is None:
                 ev = drv.site.events[r]
                 val = drv.results[r]
                 drv.done += 1
@@ -403,16 +382,14 @@ class _Walker:
                 else:
                     ev.fire(val)
                 break
-            dst, dstep, nb, src = prog[k]
-            if callable(nb):
-                nb = nb()
+            dst, dstep, nb, src = st
             sendT = sbind = None
             has_send = dst >= 0
             if has_send:
                 drv.nmsgs += 1
                 if nb <= eager:
-                    free, arr = _transfer_at(
-                        net, cur_t, members[r], members[dst], nb)
+                    free, arr = transfer(members[r], members[dst], nb,
+                                         cur_t)
                     sendT = free
                     sbind = eng._seq + 1   # send-event fire
                     dseq = sbind + 1       # delivery
@@ -425,8 +402,8 @@ class _Walker:
                     else:
                         inbox[(dst, dstep)] = ("e", arr, dseq)
                 else:
-                    _, harr = _transfer_at(
-                        net, cur_t, members[r], members[dst], RTS_BYTES)
+                    _, harr = transfer(members[r], members[dst], RTS_BYTES,
+                                       cur_t)
                     eng._seq += 1
                     self._push(harr, 0, eng._seq, 1,
                                (r, dst, dstep, nb), drv)
@@ -555,12 +532,13 @@ def _macro_site(comm: "Communicator", kind: str, value: Any, prog_for,
                 results_for) -> Generator[Any, Any, Any]:
     """Park on the round's site; the walker replays the schedule.
 
-    ``prog_for(site, r)`` builds rank r's step program at its arrival
-    (it may only touch rank r's own payload — other ranks' sizes go
-    through lazy ``nb`` callables).  ``results_for(site)`` runs once on
-    the last-arriving rank, before any exit can fire (every exit
-    strictly follows the last arrival), and returns the per-rank
-    results the walker hands to :meth:`Event.fire`.
+    ``prog_for(site, r)`` runs at rank r's arrival and returns its step
+    function (see :class:`_Driver`); it may only touch rank r's own
+    payload, while the step function may read any payload its step has
+    causally received.  ``results_for(site)`` runs once on the
+    last-arriving rank, before any exit can fire (every exit strictly
+    follows the last arrival), and returns the per-rank results the
+    walker hands to :meth:`Event.fire`.
     """
     desc = comm.desc
     key = comm._op_seq
@@ -617,16 +595,16 @@ def barrier(comm: "Communicator") -> Generator[Any, Any, None]:
     if comm.size == 1 or not _usable(comm):
         return (yield from detailed.barrier(comm))
     p = comm.size
+    nrounds = (p - 1).bit_length()
 
-    def prog_for(site: _MacroSite, r: int) -> list:
-        steps = []
-        k = 0
-        dist = 1
-        while dist < p:
-            steps.append(((r + dist) % p, k, 0, (r - dist) % p))
-            dist <<= 1
-            k += 1
-        return steps
+    def prog_for(site: _MacroSite, r: int) -> _StepFn:
+        def step(k: int) -> Optional[tuple]:
+            if k >= nrounds:
+                return None
+            dist = 1 << k
+            return (r + dist) % p, k, 0, (r - dist) % p
+
+        return step
 
     return (yield from _macro_site(comm, "barrier", None, prog_for,
                                    lambda site: [None] * p))
@@ -646,20 +624,18 @@ def allgather(comm: "Communicator", value: Any,
             sz = site.extra[j] = _block_size(site.values[j], nbytes)
         return sz
 
-    def prog_for(site: _MacroSite, r: int) -> list:
+    def prog_for(site: _MacroSite, r: int) -> _StepFn:
         right = (r + 1) % p
         left = (r - 1) % p
-        steps = []
-        for i in range(p - 1):
-            j = (r - i) % p
-            if i == 0:
-                nb = size_of(site, r)
-            else:
-                # forwarded block: its origin's payload is known by the
-                # time the block has propagated here
-                nb = (lambda j=j: size_of(site, j))
-            steps.append((right, i, nb, left))
-        return steps
+
+        def step(i: int) -> Optional[tuple]:
+            # step i forwards origin r - i's block: that payload is
+            # known by the time the block has propagated here
+            if i >= p - 1:
+                return None
+            return right, i, size_of(site, (r - i) % p), left
+
+        return step
 
     def results_for(site: _MacroSite) -> list:
         vals = site.values
@@ -675,26 +651,33 @@ def allgather(comm: "Communicator", value: Any,
                                    results_for))
 
 
+def _pairwise(p: int, r: int, vals, nbytes: Optional[int]) -> _StepFn:
+    """Rank r's pairwise-exchange step function: step k sends
+    ``vals[r + k + 1]`` to rank r + k + 1 and receives from r - k - 1."""
+    def step(k: int) -> Optional[tuple]:
+        if k >= p - 1:
+            return None
+        dst = (r + k + 1) % p
+        nb = nbytes if nbytes is not None else sizeof(vals[dst])
+        return dst, k, nb, (r - k - 1) % p
+
+    return step
+
+
 def alltoall(comm: "Communicator", values: list,
              nbytes_each: Optional[int]) -> Generator[Any, Any, list]:
     if comm.size == 1 or not _usable(comm):
         return (yield from detailed.alltoall(comm, values, nbytes_each))
     p = comm.size
 
-    def prog_for(site: _MacroSite, r: int) -> list:
+    def prog_for(site: _MacroSite, r: int) -> _StepFn:
         v = site.values[r]
         # index plain ints, not numpy scalars, exactly like the detailed
         # pairwise loop; np.asarray below restores dtype
         vr = (v.tolist() if isinstance(v, np.ndarray) and v.ndim == 1
               else v)
         site.extra[r] = vr
-        steps = []
-        for i in range(1, p):
-            dst = (r + i) % p
-            nb = (nbytes_each if nbytes_each is not None
-                  else sizeof(vr[dst]))
-            steps.append((dst, i - 1, nb, (r - i) % p))
-        return steps
+        return _pairwise(p, r, vr, nbytes_each)
 
     def results_for(site: _MacroSite) -> list:
         vals = site.extra
@@ -717,14 +700,8 @@ def reduce_scatter_block(comm: "Communicator", values: list, op: ReduceOp,
             comm, values, op, nbytes))
     p = comm.size
 
-    def prog_for(site: _MacroSite, r: int) -> list:
-        vr = site.values[r]
-        steps = []
-        for i in range(1, p):
-            dst = (r + i) % p
-            nb = nbytes if nbytes is not None else sizeof(vr[dst])
-            steps.append((dst, i - 1, nb, (r - i) % p))
-        return steps
+    def prog_for(site: _MacroSite, r: int) -> _StepFn:
+        return _pairwise(p, r, site.values[r], nbytes)
 
     def results_for(site: _MacroSite) -> list:
         vals = site.values
@@ -745,9 +722,9 @@ def _allreduce_acc(site: _MacroSite, op: ReduceOp, rem: int, pof2: int,
     """Core rank q's partial reduction after j doubling rounds.
 
     j = 0 is the post-fold value.  Memoized on the site; every operand
-    has causally arrived by the time a step's size thunk (or the last
-    arrival's results pass) asks for it.  A module-level function, so
-    the recursion does not make a per-call closure cycle.
+    has causally arrived by the time a step (or the last arrival's
+    results pass) asks for it.  A module-level function, so the
+    recursion does not make a per-call closure cycle.
     """
     memo = site.extra
     k = (q, j)
@@ -783,24 +760,32 @@ def allreduce(comm: "Communicator", value: Any, op: ReduceOp,
     def acc(site: _MacroSite, q: int, j: int) -> Any:
         return _allreduce_acc(site, op, rem, pof2, q, j)
 
-    def prog_for(site: _MacroSite, r: int) -> list:
+    def prog_for(site: _MacroSite, r: int) -> _StepFn:
         if r >= pof2:
             # folder: push own value into the core, wait for the result
-            return [(r - pof2, 0, nb_of(site.values[r]), -1),
-                    (-1, 0, 0, r - pof2)]
-        steps = []
-        if r < rem:
-            steps.append((-1, 0, 0, r + pof2))
-        for j in range(nrounds):
-            partner = r ^ (1 << j)
-            dstep = (1 if partner < rem else 0) + j
-            steps.append((partner, dstep,
-                          (lambda q=r, j=j: nb_of(acc(site, q, j))),
-                          partner))
-        if r < rem:
-            steps.append((r + pof2, 1,
-                          (lambda q=r: nb_of(acc(site, q, nrounds))), -1))
-        return steps
+            def folder(k: int) -> Optional[tuple]:
+                if k == 0:
+                    return r - pof2, 0, nb_of(site.values[r]), -1
+                return (-1, 0, 0, r - pof2) if k == 1 else None
+
+            return folder
+        folds = 1 if r < rem else 0
+
+        def core(k: int) -> Optional[tuple]:
+            j = k - folds
+            if j < 0:
+                # receive the folder's value
+                return -1, 0, 0, r + pof2
+            if j < nrounds:
+                partner = r ^ (1 << j)
+                return (partner, (1 if partner < rem else 0) + j,
+                        nb_of(acc(site, r, j)), partner)
+            if j == nrounds and folds:
+                # hand the result back to the folder
+                return r + pof2, 1, nb_of(acc(site, r, nrounds)), -1
+            return None
+
+        return core
 
     def results_for(site: _MacroSite) -> list:
         return [acc(site, r, nrounds) if r < pof2

@@ -8,7 +8,10 @@ The macro engine's whole correctness story rests on three kernels being
   :class:`ServiceProfile` fault windows;
 * :meth:`NetworkModel.transfer_batch` vs a loop of
   :meth:`NetworkModel.transfer` calls — mixed intra-/cross-node
-  destinations, with and without NIC profiles;
+  destinations, with and without NIC profiles — and
+  :meth:`NetworkModel.transfer` issued ahead of the engine clock (the
+  macro walker's path) vs a TX/RX :meth:`FIFOResource.reserve_span`
+  pair;
 * :meth:`Engine.schedule_batch` and :meth:`World.send_batch` /
   :meth:`Communicator.isend_batch` vs their per-entry equivalents.
 
@@ -141,6 +144,51 @@ def test_transfer_batch_matches_scalar_loop(dsts, sizes, profiled):
     ref = [net_b.transfer(0, d, s) for d, s in zip(dsts, sizes)]
     assert frees.tolist() == [r[0] for r in ref]
     assert arrivals.tolist() == [r[1] for r in ref]
+    assert net_a.messages_sent == net_b.messages_sent
+    assert net_a.bytes_sent == net_b.bytes_sent
+    assert net_a.cross_node_messages == net_b.cross_node_messages
+    assert net_a.cross_node_bytes == net_b.cross_node_bytes
+    for ra, rb in zip(net_a.tx + net_a.rx, net_b.tx + net_b.rx):
+        assert resource_state(ra) == resource_state(rb)
+
+
+# -- transfer issued ahead of the clock vs a reserve_span pair ---------
+
+def _transfer_by_spans(net, t, src_rank, dst_rank, nbytes):
+    """Reference: a message issued at ``t`` as two ``reserve_span``
+    calls (TX, then RX behind the wire latency)."""
+    net.messages_sent += 1
+    net.bytes_sent += nbytes
+    src_node = net._node_of[src_rank]
+    dst_node = net._node_of[dst_rank]
+    p = net.params
+    if src_node == dst_node:
+        done = t + p.send_overhead + nbytes / p.memcpy_bandwidth
+        return done, done
+    net.cross_node_messages += 1
+    net.cross_node_bytes += nbytes
+    tx_start, tx_done = net.tx[src_node].reserve_span(t, nbytes)
+    first_byte = tx_start + net.wire_latency(src_node, dst_node)
+    return tx_done, net.rx[dst_node].reserve_span(first_byte, nbytes)[1]
+
+
+@settings(deadline=None)
+@given(msgs=st.lists(st.tuples(st.integers(min_value=0, max_value=11),
+                               st.integers(min_value=0, max_value=11),
+                               st.integers(min_value=0, max_value=1 << 18),
+                               st.floats(min_value=0.0, max_value=2e-5,
+                                         allow_nan=False)),
+                     min_size=1, max_size=30),
+       profiled=st.sampled_from([(), (0,), (0, 2)]))
+def test_transfer_at_issue_time_matches_reserve_span_pair(msgs, profiled):
+    net_a, net_b = _two_networks(profiled=profiled)
+    t = 0.0
+    for src, dst, nbytes, gap in msgs:
+        # issue times run ahead of the (never advanced) engine clock
+        t += gap
+        assert (net_a.transfer(src, dst, nbytes, t)
+                == _transfer_by_spans(net_b, t, src, dst, nbytes))
+    assert net_a.engine.now == 0.0
     assert net_a.messages_sent == net_b.messages_sent
     assert net_a.bytes_sent == net_b.bytes_sent
     assert net_a.cross_node_messages == net_b.cross_node_messages

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import json
 import pathlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -43,3 +44,73 @@ def test_single_result_layout_is_migrated(common, tmp_path):
     assert doc["full"]["wall_s"] == 9.0
     assert doc["smoke"]["wall_s"] == 0.1
     assert "mode" not in doc
+
+
+HOTPATH = COMMON.parent / "bench_hotpath.py"
+
+
+@pytest.fixture
+def hotpath(monkeypatch, tmp_path):
+    """``bench_hotpath`` with two fake configs and its files in tmp_path."""
+    monkeypatch.syspath_prepend(str(COMMON.parent))
+    spec = importlib.util.spec_from_file_location("bench_hotpath", HOTPATH)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    metrics = {"write_bandwidth": "1.0", "read_bandwidth": "0.0",
+               "elapsed_total": "0.5", "events": 10, "messages": 4,
+               "bytes_written": 64, "file_sha256": ""}
+    ref = {"configs": {k: metrics for k in ("a_smoke", "b_smoke")}}
+    (tmp_path / "ref.json").write_text(json.dumps(ref))
+    (tmp_path / "base.json").write_text(json.dumps(
+        {"a_smoke": 100.0, "b_smoke": 100.0}))
+    monkeypatch.setattr(mod, "CONFIGS", {"a": None, "b": None})
+    monkeypatch.setattr(mod, "REF", tmp_path / "ref.json")
+    monkeypatch.setattr(mod, "SMOKE_BASELINE", tmp_path / "base.json")
+    monkeypatch.setattr(mod, "OUT", tmp_path / "BENCH_hotpath.json")
+    perf = dict.fromkeys(
+        ("effects_dispatched", "events_per_sec", "heap_pushes",
+         "heap_bypasses", "exact_matches", "wildcard_matches",
+         "segments_vectorized", "rounds_planned", "macro_rounds",
+         "messages_coalesced", "gc_pause_s"), 0)
+
+    def stub(diverge):
+        """``run_config`` whose result differs where ``diverge(name,
+        collective_mode)`` says so."""
+        def run_config(name, smoke=False, perf_out=None,
+                       collective_mode=None):
+            if perf_out is not None:
+                perf_out.append(SimpleNamespace(gc_collections=(0, 0, 0),
+                                                **perf))
+            out = dict(metrics)
+            if diverge(name, collective_mode):
+                out["elapsed_total"] = "0.75"
+            return out
+
+        monkeypatch.setattr(mod, "run_config", run_config)
+
+    return mod, stub
+
+
+def test_hotpath_status_is_per_config(hotpath, capsys):
+    mod, stub = hotpath
+    # config a misses the reference; b matches it
+    stub(lambda name, mode: name == "a" and mode is None)
+    assert mod.main(["--smoke"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    status = {line.split(":")[0].strip(): line.rsplit("[", 1)[1][:-1]
+              for line in lines if line.endswith("]")}
+    assert status == {"a_smoke": "DETERMINISM MISMATCH", "b_smoke": "ok"}
+    doc = json.loads(mod.OUT.read_text())
+    assert doc["smoke"]["determinism_ok"] is False
+
+
+def test_hotpath_macro_divergence_is_not_a_reference_mismatch(hotpath):
+    mod, stub = hotpath
+    # every config matches the reference, but b's macro run differs
+    # from its detailed run
+    stub(lambda name, mode: name == "b" and mode == "macro")
+    assert mod.main(["--smoke"]) == 1
+    entry = json.loads(mod.OUT.read_text())["smoke"]
+    assert entry["determinism_ok"] is True
+    assert entry["macro_equivalence"]["a_smoke"]["bit_identical"] is True
+    assert entry["macro_equivalence"]["b_smoke"]["bit_identical"] is False

@@ -19,6 +19,8 @@ ledger error.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,7 @@ from repro.perf import perf_counters
 from repro.sim.effects import Sleep
 from repro.sim.resources import ServiceProfile
 from repro.simmpi import World
+from repro.simmpi.payload import Payload
 from repro.simmpi.reduce_ops import SUM
 
 
@@ -116,6 +119,68 @@ KINDS = ["barrier", "allgather", "allgather_none", "alltoall",
 @pytest.mark.parametrize("kind", KINDS)
 def test_grid_eager_with_skew(p, cpn, kind):
     assert_macro_matches_detailed(p, cpn, grid_program(kind, p, 8, 3e-4))
+
+
+def ragged_program(kind: str, p: int, skew: float):
+    """Message sizes that differ per origin (and destination) and
+    straddle the 64 KiB eager threshold: the walker resolves each step's
+    size only when it issues that step."""
+    def program(comm):
+        r = comm.rank
+        yield Sleep(skew * ((r * 7) % 5))
+        if kind == "allgather":
+            res = yield from comm.allgather(Payload(1000 + 40000 * r, r))
+            # each rank's own entry is its own Payload object
+            res = [x.data if isinstance(x, Payload) else x for x in res]
+        elif kind == "alltoall":
+            res = yield from comm.alltoall(
+                [np.full(1000 + 30000 * ((r + 2 * d) % 4), r, np.uint8)
+                 for d in range(p)])
+        elif kind == "rsb":
+            res = yield from comm.reduce_scatter_block(
+                [np.full(100 + 2500 * d, r * 100 + d, np.int64)
+                 for d in range(p)], op=SUM)
+        else:
+            raise AssertionError(kind)
+        res2 = yield from comm.allreduce(r * 2 + 1, op=SUM, nbytes=8)
+        return comm.now, res, res2
+
+    return program
+
+
+@pytest.mark.parametrize("eager", [65536, 0])
+@pytest.mark.parametrize("p,cpn,skew", [(3, 1, 0.0), (7, 3, 3e-4),
+                                        (8, 4, 0.0)])
+@pytest.mark.parametrize("kind", ["allgather", "alltoall", "rsb"])
+def test_grid_ragged_sizes(kind, p, cpn, skew, eager):
+    assert_macro_matches_detailed(p, cpn, ragged_program(kind, p, skew),
+                                  eager_threshold=eager)
+
+
+@pytest.mark.parametrize("kind", ["allgather", "alltoall"])
+def test_round_memory_is_linear_in_ranks(kind):
+    # one world-sized round keeps O(P) walker state: the steps are
+    # computed when issued, not stored as P - 1 tuples per rank
+    p = 256
+
+    def program(comm):
+        if kind == "allgather":
+            yield from comm.allgather(comm.rank, nbytes=8)
+        else:
+            yield from comm.alltoall(list(range(p)), nbytes_each=8)
+
+    world = World(MachineConfig(nprocs=p, cores_per_node=4),
+                  collective_mode="macro", net_params=NetworkParams())
+    rounds = perf_counters.macro_rounds
+    tracemalloc.start()
+    try:
+        world.launch(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert perf_counters.macro_rounds == rounds + 1
+    per_pair = peak / (p * (p - 1))
+    assert per_pair < 64, f"{per_pair:.0f} B of peak per rank pair"
 
 
 @pytest.mark.parametrize("kind", ["allgather", "alltoall", "allreduce",

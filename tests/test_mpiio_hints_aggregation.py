@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import Machine, MachineConfig
-from repro.errors import MPIIOError
+from repro.errors import ConfigError, MPIIOError
 from repro.lustre import StripeLayout
 from repro.mpiio import IOHints
 from repro.mpiio.aggregation import (default_aggregators, domain_of_offsets,
@@ -85,6 +85,27 @@ class TestDefaultAggregators:
         m = self.make_machine()
         aggs = default_aggregators([4, 5, 6, 7], m, IOHints())
         assert aggs == [0, 2]  # group ranks of world ranks 4 and 6
+
+    @pytest.mark.parametrize("mapping", ["block", "cyclic"])
+    def test_unordered_members_first_per_node(self, mapping):
+        # the first member on each node wins, listed in node order, not
+        # in member order
+        m = self.make_machine(nprocs=12, cores=3, mapping=mapping)
+        members = [int(x) for x in
+                   np.random.default_rng(5).permutation(12)[:9]]
+        first: dict[int, int] = {}
+        for grank, wrank in enumerate(members):
+            first.setdefault(m.node_of_rank(wrank), grank)
+        want = [first[n] for n in sorted(first)]
+        got = default_aggregators(members, m, IOHints())
+        assert got == want
+        assert all(type(a) is int for a in got)
+
+    def test_out_of_range_member_rejected(self):
+        m = self.make_machine()
+        for bad in (8, -1):
+            with pytest.raises(ConfigError, match=f"rank {bad} out of range"):
+                default_aggregators([0, 1, bad, 3], m, IOHints())
 
 
 class TestFileDomains:
