@@ -143,10 +143,7 @@ class NetworkModel:
             start = now if now > busy else busy
             stime = tx.overhead + nbytes / tx.rate
             tx_done = start + stime
-            tx.busy_time += stime
             tx.busy_until = tx_done
-            tx.total_bytes += nbytes
-            tx.total_requests += 1
             tx_start = tx_done - stime
             if self._flat_wire:
                 first_byte = tx_start + p.latency
@@ -156,10 +153,7 @@ class NetworkModel:
             start = first_byte if first_byte > busy else busy
             stime = rx.overhead + nbytes / rx.rate
             arrival = start + stime
-            rx.busy_time += stime
             rx.busy_until = arrival
-            rx.total_bytes += nbytes
-            rx.total_requests += 1
             return tx_done, arrival
         tx_start, tx_done = tx.reserve_span(now, nbytes)
         if self._flat_wire:

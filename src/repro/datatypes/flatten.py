@@ -40,24 +40,27 @@ def coalesce(offsets, lengths) -> Segments:
     Vectorized: a segment starts a new *group* when its offset exceeds the
     running maximum end of everything before it.  Overlap is tolerated on
     input (it arises when callers union access ranges) and merged away.
+    Input already sorted by offset skips the sort.
     """
     offs, lens = as_segments(offsets, lengths)
     if offs.size <= 1:
         return offs, lens
-    order = np.argsort(offs, kind="stable")
-    offs, lens = offs[order], lens[order]
-    ends = offs + lens
-    # running max of previous ends; group boundary where offset > that max
-    prev_max_end = np.maximum.accumulate(ends)
+    if (offs[1:] < offs[:-1]).any():
+        order = np.argsort(offs, kind="stable")
+        offs, lens = offs[order], lens[order]
+    # running max of ends; group boundary where offset > the previous max
+    max_end = np.maximum.accumulate(offs + lens)
     boundary = np.empty(offs.size, dtype=bool)
     boundary[0] = True
-    boundary[1:] = offs[1:] > prev_max_end[:-1]
-    group = np.cumsum(boundary) - 1
-    ngroups = group[-1] + 1
-    out_offs = offs[boundary]
-    out_ends = np.zeros(ngroups, dtype=np.int64)
-    np.maximum.at(out_ends, group, ends)
-    return out_offs, out_ends - out_offs
+    boundary[1:] = offs[1:] > max_end[:-1]
+    starts = np.flatnonzero(boundary)
+    # a group's end is the running max at its last member: every earlier
+    # group ended before this group's first offset
+    last = np.empty_like(starts)
+    last[:-1] = starts[1:] - 1
+    last[-1] = offs.size - 1
+    out_offs = offs[starts]
+    return out_offs, max_end[last] - out_offs
 
 
 def validate_segments(offsets, lengths, allow_adjacent: bool = True) -> None:

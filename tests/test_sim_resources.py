@@ -56,7 +56,7 @@ def test_reserve_with_extra_time():
     assert res.busy_until == done
 
 
-def test_resource_counters_and_utilization():
+def test_back_to_back_services_keep_the_resource_busy():
     eng = Engine()
     res = FIFOResource(eng, "ost", rate=100.0)
 
@@ -65,9 +65,7 @@ def test_resource_counters_and_utilization():
         yield from res.service(50)
 
     eng.run_tasks([prog()])
-    assert res.total_bytes == 100
-    assert res.total_requests == 2
-    assert res.utilization() == pytest.approx(1.0)
+    assert res.busy_until == pytest.approx(1.0) == eng.now
 
 
 def test_invalid_resource_parameters():

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ValidationError
 from repro.validate import (ORACLE_VERSION, OracleDiff, ShadowFile,
                             sequential_golden)
+from repro.validate import oracle
 
 
 def segs(*pairs):
@@ -125,3 +128,113 @@ class TestShadowFile:
 
     def test_oracle_version_is_an_int(self):
         assert isinstance(ORACLE_VERSION, int) and ORACLE_VERSION >= 1
+
+
+# -- happens-before tracking against a byte-set reference ---------------
+
+@st.composite
+def _accesses(draw):
+    """Up to 5 disjoint (offset, length) segments in bytes 0-255, in any
+    order; zero lengths and adjacent segments are allowed."""
+    out, end = [], draw(st.integers(0, 100))
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 16),
+                                               st.integers(0, 14)),
+                                     max_size=5)):
+        out.append((end + gap, length))
+        end += gap + length
+    return draw(st.permutations(out))
+
+
+_ops = st.lists(st.one_of(
+    st.tuples(st.just("record"), _accesses()),
+    st.tuples(st.just("read"), _accesses()),
+    st.tuples(st.just("complete"), st.integers(0, 6)),
+    st.tuples(st.just("complete_all"), st.none())), max_size=30)
+
+
+def _byte_set(access):
+    return {b for o, l in access for b in range(o, o + l)}
+
+
+@settings(deadline=None)
+@given(verified=st.booleans(), ops=_ops)
+def test_shadow_matches_byte_set_reference(verified, ops):
+    sh = ShadowFile("f", verified=verified)
+    pending: dict[int, set] = {}   # token -> bytes, in token order
+    unordered: set = set()
+    written: set = set()
+    content = np.zeros(512, dtype=np.uint8)
+    size = 0
+    for step, (op, arg) in enumerate(ops):
+        if op == "record":
+            mine = _byte_set(arg)
+            for tok in sorted(pending):
+                if pending[tok] & mine:
+                    unordered |= pending[tok] | mine
+                    break
+            total = sum(l for _, l in arg)
+            data = (np.arange(total, dtype=np.int64) * 7 + step + 1
+                    ).astype(np.uint8)
+            pos = 0
+            for o, l in arg:
+                content[o:o + l] = data[pos:pos + l]
+                pos += l
+                if l:
+                    size = max(size, o + l)
+            token = sh.record(segs(*arg), data if verified else None)
+            assert token not in pending
+            pending[token] = mine
+            written |= mine
+        elif op == "read":
+            want = not (_byte_set(arg) & (set().union(*pending.values())
+                                          | unordered))
+            assert sh.checkable_read(segs(*arg)) == want
+        elif op == "complete":
+            sh.complete(arg)
+            pending.pop(arg, None)
+        else:
+            sh.complete_all()
+            pending.clear()
+        assert sh.pending_writes == len(pending)
+    offs, lens = sh.extents
+    assert _byte_set(zip(offs.tolist(), lens.tolist())) == written
+    assert (np.diff(offs) > 0).all() and (offs[1:] > (offs + lens)[:-1]).all()
+    assert sh.covered_bytes == len(written)
+    assert sh.size == size
+    if verified:
+        np.testing.assert_array_equal(sh.bytes, content[:size])
+
+
+def test_record_tests_the_pending_union_not_every_pending_write(monkeypatch):
+    calls = 0
+    real = oracle._segments_overlap
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return real(a, b)
+
+    monkeypatch.setattr(oracle, "_segments_overlap", counting)
+    sh = ShadowFile("f", verified=False)
+    for i in range(200):
+        # pairwise disjoint and interleaved: nothing races, nothing retires
+        sh.record(segs((i * 8, 4), (4000 + i * 8, 4)), None)
+    assert sh.pending_writes == 200
+    assert sh.covered_bytes == 200 * 8
+    # one test per record against the union; a per-write walk is 19,900
+    assert calls < 400
+
+
+def test_only_the_first_racing_pending_write_becomes_unordered():
+    sh = ShadowFile("f", verified=False)
+    sh.record(segs((0, 4)), None)
+    second = sh.record(segs((8, 4)), None)
+    # races both pending writes; the first in token order is the racer
+    sh.record(segs((2, 8)), None)
+    sh.complete(second)
+    # bytes 10-11 belong to the retired second write alone
+    assert sh.checkable_read(segs((10, 2)))
+    assert not sh.checkable_read(segs((9, 2)))
+    sh.complete_all()
+    assert not sh.checkable_read(segs((0, 1)))
+    assert sh.checkable_read(segs((10, 2)))
