@@ -17,14 +17,17 @@ checks three things:
    baseline by at least 2x.  The measured wall only shows this on a
    machine with enough cores to actually run the shards concurrently;
    on smaller hosts (CI containers are often pinned to one core) the
-   gate falls back to the *critical path* — the slowest shard's own CPU
-   seconds plus the coordinator's — which is what the wall becomes once
-   each shard has a core to itself.  The JSON records both, along with
-   the host's core count, so the numbers are honest either way.
+   gate falls back to the *critical path*: the unsharded run's CPU
+   seconds over the slowest shard's CPU seconds plus the coordinator's,
+   which is what the wall ratio becomes once each shard has a core to
+   itself.  Both ratios compare like with like (wall over wall, CPU
+   over CPU).  The JSON records both, along with the host's core count,
+   so the numbers are honest either way.
 3. **Scale** — one run at >= 16384 ranks must complete; its wall time
    and shard block are recorded as the Jaguar-direction headline.
 
-Results land in ``BENCH_sharded_scaling.json`` at the repo root.
+Results land in ``BENCH_sharded_scaling.json`` at the repo root, one
+stamped entry per mode, so a smoke run never replaces the full result.
 
 Run directly (not under pytest)::
 
@@ -40,13 +43,12 @@ full scale.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import pathlib
-import platform
 import sys
 import time
 
+from _common import write_mode_result
 from repro.harness.hotpath import run_shard_scale
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -65,6 +67,15 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
+def critical_path_speedup(base: dict, sharded: dict) -> float | None:
+    """Unsharded CPU seconds over the sharded run's critical path: its
+    slowest shard's CPU seconds plus the coordinator's."""
+    shard_cpu = (sharded["shard"] or {}).get("max_shard_cpu")
+    if not shard_cpu:
+        return None
+    return round(base["cpu_s"] / (shard_cpu + sharded["cpu_s"]), 2)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -81,7 +92,11 @@ def main(argv: list[str] | None = None) -> int:
     rows = []
     for shards in (1, 2, 4):
         t0 = time.perf_counter()
+        c0 = time.process_time()
         row = run_shard_scale(nprocs=nprocs, shards=shards)
+        # this process's CPU: the whole run unsharded (it runs
+        # in-process), the coordinator's share when sharded
+        row["cpu_s"] = round(time.process_time() - c0, 4)
         row["wall_s"] = round(time.perf_counter() - t0, 4)
         rows.append(row)
         sh = row["shard"] or {}
@@ -97,13 +112,13 @@ def main(argv: list[str] | None = None) -> int:
                     f"MISMATCH at {row['shards']} shards: {key} "
                     f"{row[key]!r} != unsharded {base[key]!r}")
 
-    # measured wall speedup, and the critical-path projection (slowest
-    # shard's CPU seconds — the wall on a host with >= shards cores)
+    # measured wall speedup, and the critical-path projection: unsharded
+    # CPU over the slowest shard's CPU plus the coordinator's (the wall
+    # ratio on a host with >= shards cores)
     four = rows[-1]
     wall_speedup = round(base["wall_s"] / four["wall_s"], 2) \
         if four["wall_s"] else None
-    crit = (four["shard"] or {}).get("max_shard_cpu")
-    crit_speedup = round(base["wall_s"] / crit, 2) if crit else None
+    crit_speedup = critical_path_speedup(base, four)
     effective = wall_speedup if cpus >= 4 else (crit_speedup or wall_speedup)
     if not args.smoke and effective is not None \
             and effective < SPEEDUP_FLOOR:
@@ -120,11 +135,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"scale run: {args.scale_nprocs} ranks, 4 shards, "
               f"wall {scale['wall_s']}s")
 
+    mode = "smoke" if args.smoke else "full"
     payload = {
-        "benchmark": "sharded_scaling",
-        "mode": "smoke" if args.smoke else "full",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
         "cpus": cpus,
         "nprocs": nprocs,
         "bit_identity_ok": not errors
@@ -135,8 +147,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     if scale is not None:
         payload["scale_run"] = scale
-    OUT.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {OUT}")
+    write_mode_result(OUT, "sharded_scaling", mode, payload)
+    print(f"wrote the {mode} entry of {OUT}")
 
     if errors:
         for e in errors:

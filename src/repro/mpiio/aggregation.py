@@ -81,8 +81,10 @@ def partition_file_domains(fd_min: int, fd_max: int, naggs: int,
 
 def domain_of_offsets(offsets: np.ndarray, starts: np.ndarray,
                       ends: np.ndarray) -> np.ndarray:
-    """Index of the domain containing each offset (domains sorted, disjoint)."""
-    # searchsorted over domain starts; offsets below the first start or in
-    # an empty domain's gap map to the previous non-empty domain
-    idx = np.searchsorted(ends, offsets, side="right")
-    return np.clip(idx, 0, starts.size - 1)
+    """Index of the domain containing each offset (domains contiguous, sorted).
+
+    The first domain whose end lies past the offset: empty domains are
+    skipped, and offsets past the last domain map to the last one.
+    """
+    return np.minimum(np.searchsorted(ends, offsets, side="right"),
+                      starts.size - 1)

@@ -24,17 +24,18 @@ aggregators merge by file offset and write; readers get exact bytes back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Generator, Optional
+from typing import Any, Generator, NamedTuple, Optional
 
 import numpy as np
 
 from repro.cluster.machine import Machine
-from repro.datatypes.flatten import Segments, coalesce, intersect_range
+from repro.datatypes.flatten import Segments, coalesce
 from repro.datatypes.packing import (copy_segments, dense_starts,
                                      gather_segments, scatter_segments)
 from repro.errors import MPIIOError
 from repro.lustre.fs import LustreFS, LustreFile
-from repro.mpiio.aggregation import default_aggregators, partition_file_domains
+from repro.mpiio.aggregation import (default_aggregators, domain_of_offsets,
+                                     partition_file_domains)
 from repro.mpiio.hints import IOHints
 from repro.perf import perf_counters
 from repro.sim.effects import Join, Sleep, Spawn
@@ -142,66 +143,100 @@ def _setup(env: IOEnv, segs: Segments
     return aggs, starts, ends, int(ntimes), my_idx
 
 
-def plan_rounds(segs: Segments, aggs: list[int], starts: np.ndarray,
-                ends: np.ndarray, cb: int
-                ) -> list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Precompute every round's window intersections in one pass.
+class RoundPlan(NamedTuple):
+    """One rank's exchange pieces in round order (see :func:`plan_rounds`)."""
 
-    For each overlapping aggregator domain the segments are clipped once
-    and split at collective-buffer window boundaries; each resulting
-    piece is labeled with its round index.  Segments are sorted and
-    non-overlapping, so piece round labels are non-decreasing and one
-    round's send list is a ``searchsorted`` slice — the per-round
-    ``intersect_range`` scans disappear entirely.
+    offs: np.ndarray
+    lens: np.ndarray
+    #: index of the aggregator (file domain) each piece goes to
+    aggs: np.ndarray
+    rounds: np.ndarray
+    #: round ``r``'s pieces are ``[bounds[r], bounds[r + 1])``
+    bounds: list[int]
 
-    Returns ``[(agg_index, piece_offs, piece_lens, piece_rounds), ...]``;
-    feed to :func:`_send_lists_from_plan`.
+
+_NO_PIECES = np.empty(0, dtype=np.int64)
+_EMPTY_PLAN = RoundPlan(_NO_PIECES, _NO_PIECES, _NO_PIECES, _NO_PIECES, [0])
+
+
+def _runs(first: np.ndarray, count: np.ndarray, total: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Expand item ``i`` into ``count[i]`` entries labelled ``first[i]``,
+    ``first[i] + 1``, ...; returns each entry's item index and label."""
+    item = np.repeat(np.arange(first.size), count)
+    label = np.arange(total) + np.repeat(first - (np.cumsum(count) - count),
+                                         count)
+    return item, label
+
+
+def plan_rounds(segs: Segments, starts: np.ndarray, ends: np.ndarray,
+                cb: int) -> RoundPlan:
+    """Cut my segments at every aggregator domain and round window in one pass.
+
+    Each segment's first and last byte are looked up in the (contiguous,
+    ordered) domains; a segment spanning several domains is expanded to
+    one piece per domain and clipped to it, and pieces of empty domains
+    drop out.  Pieces are then split at their domain's collective-buffer
+    windows, and a piece's window index is its round.  A stable sort by
+    round keeps each round's pieces in offset order, which is also
+    aggregator order, so :func:`_send_lists_from_plan` takes one round's
+    send lists as one slice cut where the aggregator changes.
     """
     offs, lens = segs
     if offs.size == 0:
-        return []
-    my_lo = int(offs[0])
-    my_hi = int(offs[-1] + lens[-1])
-    a_first = int(np.searchsorted(ends, my_lo, side="right"))
-    a_last = min(int(np.searchsorted(starts, my_hi, side="left")), len(aggs))
-    plan = []
-    planned = 0
-    for a in range(a_first, a_last):
-        base = int(starts[a])
-        d_offs, d_lens = intersect_range(segs, base, int(ends[a]))
-        if d_offs.size == 0:
-            continue
-        d_ends = d_offs + d_lens
-        w_first = (d_offs - base) // cb
-        w_last = (d_ends - 1 - base) // cb
-        npieces = w_last - w_first + 1
-        total = int(npieces.sum())
-        if total == d_offs.size:
-            # no segment straddles a window boundary
-            p_offs, p_lens, p_w = d_offs, d_lens, w_first
-        else:
-            seg_idx = np.repeat(np.arange(d_offs.size), npieces)
-            first = np.zeros(d_offs.size, dtype=np.int64)
-            np.cumsum(npieces[:-1], out=first[1:])
-            k = np.arange(total, dtype=np.int64) - first[seg_idx]
-            p_w = w_first[seg_idx] + k
-            win_lo = base + p_w * cb
-            p_offs = np.maximum(d_offs[seg_idx], win_lo)
-            p_lens = np.minimum(d_ends[seg_idx], win_lo + cb) - p_offs
-        plan.append((a, p_offs, p_lens, p_w))
-        planned += total
-    perf_counters.rounds_planned += planned
-    return plan
+        return _EMPTY_PLAN
+    lo, hi = offs, offs + lens
+    agg = domain_of_offsets(lo, starts, ends)
+    span = domain_of_offsets(hi - 1, starts, ends) - agg + 1
+    n = int(span.sum())
+    if n != lo.size:
+        item, agg = _runs(agg, span, n)
+        lo, hi = lo[item], hi[item]
+    lo = np.maximum(lo, starts[agg])
+    hi = np.minimum(hi, ends[agg])
+    keep = hi > lo
+    if not keep.all():
+        lo, hi, agg = lo[keep], hi[keep], agg[keep]
+        if not lo.size:
+            return _EMPTY_PLAN
+    base = starts[agg]
+    rounds = (lo - base) // cb
+    nwin = (hi - 1 - base) // cb - rounds + 1
+    n = int(nwin.sum())
+    if n != lo.size:
+        # some piece straddles a window boundary
+        item, rounds = _runs(rounds, nwin, n)
+        win_lo = base[item] + rounds * cb
+        lo = np.maximum(lo[item], win_lo)
+        hi = np.minimum(hi[item], win_lo + cb)
+        agg = agg[item]
+    if n > 1 and (rounds[1:] < rounds[:-1]).any():
+        order = np.argsort(rounds, kind="stable")
+        lo, hi, agg, rounds = lo[order], hi[order], agg[order], rounds[order]
+    perf_counters.rounds_planned += n
+    bounds = np.searchsorted(rounds, np.arange(int(rounds[-1]) + 2))
+    return RoundPlan(lo, hi - lo, agg, rounds, bounds.tolist())
 
 
-def _send_lists_from_plan(plan, rnd: int) -> dict[int, Segments]:
-    """One round's send lists out of a :func:`plan_rounds` result."""
+def _send_lists_from_plan(plan: RoundPlan, rnd: int) -> dict[int, Segments]:
+    """Round ``rnd``'s send lists: the plan's slice for that round, split
+    where the aggregator index changes (keys ascending)."""
+    bounds = plan.bounds
+    if rnd + 1 >= len(bounds):
+        return {}
+    lo, hi = bounds[rnd], bounds[rnd + 1]
+    if lo == hi:
+        return {}
+    offs, lens, aggs = plan.offs, plan.lens, plan.aggs
+    first = int(aggs[lo])
+    if first == aggs[hi - 1]:
+        return {first: (offs[lo:hi], lens[lo:hi])}
+    run = aggs[lo:hi]
+    edges = [lo, *(np.flatnonzero(run[1:] != run[:-1]) + (lo + 1)).tolist(),
+             hi]
     out: dict[int, Segments] = {}
-    for a, p_offs, p_lens, p_w in plan:
-        i0 = int(np.searchsorted(p_w, rnd, side="left"))
-        i1 = int(np.searchsorted(p_w, rnd + 1, side="left"))
-        if i1 > i0:
-            out[a] = (p_offs[i0:i1], p_lens[i0:i1])
+    for a, i0, i1 in zip(aggs[edges[:-1]].tolist(), edges, edges[1:]):
+        out[a] = (offs[i0:i1], lens[i0:i1])
     return out
 
 
@@ -244,7 +279,7 @@ def collective_write(env: IOEnv, segs: Segments,
     memcpy_bw = comm.world.network.params.memcpy_bandwidth
     use_batch = comm.backend.fidelity("exchange", comm=comm) == "macro"
     pending: list = []
-    plan = plan_rounds(segs, aggs, starts, ends, cb)
+    plan = plan_rounds(segs, starts, ends, cb)
     if env.validator is not None:
         env.validator.check_exchange_plan(segs, plan, ntimes)
     for rnd in range(ntimes):
@@ -397,7 +432,7 @@ def collective_read(env: IOEnv, segs: Segments,
 
     memcpy_bw = comm.world.network.params.memcpy_bandwidth
     use_batch = comm.backend.fidelity("exchange", comm=comm) == "macro"
-    plan = plan_rounds(segs, aggs, starts, ends, cb)
+    plan = plan_rounds(segs, starts, ends, cb)
     if env.validator is not None:
         env.validator.check_exchange_plan(segs, plan, ntimes)
     for rnd in range(ntimes):

@@ -120,16 +120,20 @@ def waitall(requests: list[Request]) -> Generator[Any, Any, list[Any]]:
 class Mailbox:
     """Per-rank matching state, indexed for O(1) fully-specified matches.
 
-    Receives with concrete ``(ctx, src, tag)`` live in dict buckets keyed on
-    that triple; receives with ``ANY_SOURCE``/``ANY_TAG`` go on an ordered
+    Receives with concrete ``(ctx, src, tag)`` live in a dict keyed on that
+    triple; receives with ``ANY_SOURCE``/``ANY_TAG`` go on an ordered
     wildcard side-list.  Unexpected messages always carry a concrete key, so
-    they are bucketed unconditionally and stamped with an arrival counter.
+    they are keyed unconditionally and stamped with an arrival counter.
+    A key holding one entry maps straight to it; a second entry with the
+    same key turns the value into a FIFO ``deque``, dropped when it empties.
+    Collective and exchange tags are unique per call and round, so almost
+    every key holds one entry and costs no deque.
 
     MPI ordering survives the split because both candidate heads carry
     monotone stamps: posted recvs keep their post-time ``seq`` (post order),
     unexpected messages get ``arr`` (arrival order).  A match arbitrates
-    between the exact-bucket head and the first matching wildcard (resp. the
-    earliest-arrived head across matching buckets) by stamp, which picks
+    between the exact key's head and the first matching wildcard (resp. the
+    earliest-arrived head across matching keys) by stamp, which picks
     exactly the element the linear scan over one ordered list would have.
     """
 
@@ -138,10 +142,11 @@ class Mailbox:
                  "exact_matches", "wildcard_matches")
 
     def __init__(self) -> None:
-        self.posted_exact: dict[tuple[int, int, int], deque[PostedRecv]] = {}
+        self.posted_exact: dict[tuple[int, int, int],
+                                PostedRecv | deque[PostedRecv]] = {}
         self.posted_wild: list[PostedRecv] = []
         self.unexpected_by_key: dict[tuple[int, int, int],
-                                     deque[Message]] = {}
+                                     Message | deque[Message]] = {}
         self._arrivals = 0
         self.n_posted = 0
         self.n_unexpected = 0
@@ -152,10 +157,12 @@ class Mailbox:
         """Queue an unmatched receive (in post order)."""
         if pr.src != ANY_SOURCE and pr.tag != ANY_TAG:
             key = (pr.ctx, pr.src, pr.tag)
-            bucket = self.posted_exact.get(key)
-            if bucket is None:
-                bucket = self.posted_exact[key] = deque()
-            bucket.append(pr)
+            slot = self.posted_exact.setdefault(key, pr)
+            if slot is not pr:
+                if slot.__class__ is deque:
+                    slot.append(pr)
+                else:
+                    self.posted_exact[key] = deque((slot, pr))
         else:
             self.posted_wild.append(pr)
         self.n_posted += 1
@@ -165,45 +172,40 @@ class Mailbox:
         self._arrivals += 1
         msg.arr = self._arrivals
         key = (msg.ctx, msg.src, msg.tag)
-        bucket = self.unexpected_by_key.get(key)
-        if bucket is None:
-            bucket = self.unexpected_by_key[key] = deque()
-        bucket.append(msg)
+        slot = self.unexpected_by_key.setdefault(key, msg)
+        if slot is not msg:
+            if slot.__class__ is deque:
+                slot.append(msg)
+            else:
+                self.unexpected_by_key[key] = deque((slot, msg))
         self.n_unexpected += 1
 
     def match_posted(self, msg: Message) -> Optional[PostedRecv]:
         """Find (and remove) the first-posted recv matching ``msg``."""
         key = (msg.ctx, msg.src, msg.tag)
-        bucket = self.posted_exact.get(key)
-        exact = bucket[0] if bucket else None
-        wild_i = -1
+        slot = self.posted_exact.get(key)
+        exact = slot[0] if slot.__class__ is deque else slot
         wild_list = self.posted_wild
         if wild_list:
-            for i, pr in enumerate(wild_list):
-                if pr.matches(msg):
-                    wild_i = i
+            for i, wild in enumerate(wild_list):
+                if wild.matches(msg):
+                    if exact is None or wild.seq <= exact.seq:
+                        del wild_list[i]
+                        self.n_posted -= 1
+                        self.wildcard_matches += 1
+                        return wild
                     break
-        if wild_i < 0:
-            if exact is None:
-                return None
-            bucket.popleft()
-            if not bucket:
+        if exact is None:
+            return None
+        if slot is exact:
+            del self.posted_exact[key]
+        else:
+            slot.popleft()
+            if not slot:
                 del self.posted_exact[key]
-            self.n_posted -= 1
-            self.exact_matches += 1
-            return exact
-        wild = self.posted_wild[wild_i]
-        if exact is not None and exact.seq < wild.seq:
-            bucket.popleft()
-            if not bucket:
-                del self.posted_exact[key]
-            self.n_posted -= 1
-            self.exact_matches += 1
-            return exact
-        del self.posted_wild[wild_i]
         self.n_posted -= 1
-        self.wildcard_matches += 1
-        return wild
+        self.exact_matches += 1
+        return exact
 
     def match_unexpected(self, pr: PostedRecv) -> Optional[Message]:
         """Find (and remove) the earliest-arrived message matching ``pr``."""
@@ -215,32 +217,39 @@ class Mailbox:
         path matches before it ever builds a :class:`PostedRecv`."""
         if p_src != ANY_SOURCE and p_tag != ANY_TAG:
             key = (p_ctx, p_src, p_tag)
-            bucket = self.unexpected_by_key.get(key)
-            if not bucket:
+            slot = self.unexpected_by_key.get(key)
+            if slot is None:
                 return None
-            msg = bucket.popleft()
-            if not bucket:
+            if slot.__class__ is deque:
+                msg = slot.popleft()
+                if not slot:
+                    del self.unexpected_by_key[key]
+            else:
+                msg = slot
                 del self.unexpected_by_key[key]
             self.n_unexpected -= 1
             self.exact_matches += 1
             return msg
         best_key = None
         best = None
-        for key, bucket in self.unexpected_by_key.items():
+        for key, slot in self.unexpected_by_key.items():
             ctx, src, tag = key
             if (ctx == p_ctx
                     and p_src in (ANY_SOURCE, src)
                     and p_tag in (ANY_TAG, tag)):
-                head = bucket[0]
+                head = slot[0] if slot.__class__ is deque else slot
                 if best is None or head.arr < best.arr:
                     best_key = key
                     best = head
         if best is None:
             return None
-        bucket = self.unexpected_by_key[best_key]
-        bucket.popleft()
-        if not bucket:
+        slot = self.unexpected_by_key[best_key]
+        if slot is best:
             del self.unexpected_by_key[best_key]
+        else:
+            slot.popleft()
+            if not slot:
+                del self.unexpected_by_key[best_key]
         self.n_unexpected -= 1
         self.wildcard_matches += 1
         return best

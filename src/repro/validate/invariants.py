@@ -236,37 +236,44 @@ def check_exchange_plan(segs: Segments, plan, ntimes: int) -> None:
     """The vectorized round plan must cover the access exactly once.
 
     Every byte of ``segs`` appears in exactly one (aggregator, round)
-    piece, every piece is non-empty, and no piece targets a round beyond
-    the agreed count.
+    piece, every piece is non-empty, no piece targets a round beyond the
+    agreed count, and the pieces are sorted by round, then aggregator,
+    with ``plan.bounds`` delimiting the rounds (the send lists are slices
+    of that order).
     """
     check = "exchange_plan"
     want = coalesce(*segs)
-    if not plan:
+    offs, lens, aggs, rounds = plan.offs, plan.lens, plan.aggs, plan.rounds
+    if not offs.size:
         if want[0].size:
             _fail(check, f"empty round plan for an access of "
                          f"{int(want[1].sum())} bytes")
         return
-    all_offs = np.concatenate([p[1] for p in plan])
-    all_lens = np.concatenate([p[2] for p in plan])
-    all_rounds = np.concatenate([p[3] for p in plan])
-    if all_lens.size and int(all_lens.min()) <= 0:
+    if int(lens.min()) <= 0:
         _fail(check, "round plan contains an empty piece")
-    if all_rounds.size and (int(all_rounds.min()) < 0
-                            or int(all_rounds.max()) >= ntimes):
+    if int(rounds.min()) < 0 or int(rounds.max()) >= ntimes:
         _fail(check, f"round plan targets round "
-                     f"{int(all_rounds.max())} of an agreed {ntimes}")
-    total = int(all_lens.sum())
+                     f"{int(rounds.max())} of an agreed {ntimes}")
+    total = int(lens.sum())
     want_total = int(want[1].sum())
     if total != want_total:
         _fail(check, f"round plan moves {total} bytes for an access of "
                      f"{want_total} (bytes created or lost)")
-    got = coalesce(all_offs, all_lens)
+    got = coalesce(offs, lens)
     if int(got[1].sum()) != want_total:
         _fail(check, "round plan pieces overlap: some byte is shipped "
                      "twice")
     if not _same_segments(got, want):
         _fail(check, "round plan pieces do not reassemble the access "
                      "segments")
+    step = rounds[1:] - rounds[:-1]
+    if (step < 0).any() or ((step == 0) & (aggs[1:] < aggs[:-1])).any():
+        _fail(check, "round plan pieces are not sorted by round, then "
+                     "aggregator")
+    want_bounds = np.searchsorted(rounds, np.arange(len(plan.bounds)))
+    if plan.bounds[-1] != offs.size or \
+            not np.array_equal(want_bounds, plan.bounds):
+        _fail(check, "round plan bounds do not delimit its rounds")
 
 
 def check_round_conservation(announced: int, received: int,

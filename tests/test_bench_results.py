@@ -114,3 +114,56 @@ def test_hotpath_macro_divergence_is_not_a_reference_mismatch(hotpath):
     assert entry["determinism_ok"] is True
     assert entry["macro_equivalence"]["a_smoke"]["bit_identical"] is True
     assert entry["macro_equivalence"]["b_smoke"]["bit_identical"] is False
+
+
+SHARDED = COMMON.parent / "bench_sharded_scaling.py"
+
+
+@pytest.fixture
+def sharded(monkeypatch, tmp_path):
+    """``bench_sharded_scaling`` on a stubbed probe and fake clocks.
+
+    The unsharded run takes 10 s wall and 8 s CPU; each sharded run
+    takes 6 s wall, 0.5 s of coordinator CPU and 2 s in its slowest
+    shard.
+    """
+    monkeypatch.syspath_prepend(str(COMMON.parent))
+    spec = importlib.util.spec_from_file_location("bench_sharded_scaling",
+                                                  SHARDED)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    clock = {"wall": 0.0, "cpu": 0.0}
+
+    def run_shard_scale(nprocs, shards):
+        clock["wall"] += 10.0 if shards == 1 else 6.0
+        clock["cpu"] += 8.0 if shards == 1 else 0.5
+        return {"nprocs": nprocs, "shards": shards, "wall_s": 0.0,
+                "events": 1, "events_per_sec": 1.0, "messages": 4,
+                "elapsed_total": "0.5", "write_bandwidth": "1.0",
+                "shard": None if shards == 1 else {"max_shard_cpu": 2.0}}
+
+    monkeypatch.setattr(mod, "run_shard_scale", run_shard_scale)
+    monkeypatch.setattr(mod, "time", SimpleNamespace(
+        perf_counter=lambda: clock["wall"],
+        process_time=lambda: clock["cpu"]))
+    monkeypatch.setattr(mod, "OUT", tmp_path / "BENCH_sharded_scaling.json")
+    return mod
+
+
+def test_sharded_smoke_keeps_the_full_result(sharded):
+    sharded.OUT.write_text(json.dumps(
+        {"benchmark": "sharded_scaling", "mode": "full", "nprocs": 4096}))
+    assert sharded.main(["--smoke"]) == 0
+    doc = json.loads(sharded.OUT.read_text())
+    assert doc["full"]["nprocs"] == 4096
+    assert doc["smoke"]["nprocs"] == 512
+
+
+def test_sharded_critical_path_is_cpu_over_cpu(sharded):
+    assert sharded.main(["--smoke"]) == 0
+    entry = json.loads(sharded.OUT.read_text())["smoke"]
+    assert [r["cpu_s"] for r in entry["results"]] == [8.0, 0.5, 0.5]
+    # unsharded CPU over slowest shard CPU plus coordinator CPU, not the
+    # unsharded wall (10 s) over the shard CPU (2 s)
+    assert entry["critical_path_speedup_4_shards"] == round(8.0 / 2.5, 2)
+    assert entry["wall_speedup_4_shards"] == round(10.0 / 6.0, 2)

@@ -6,9 +6,9 @@ Two families:
    (:func:`plan_rounds` + :func:`_send_lists_from_plan`,
    :func:`extract_data` / :func:`place_data`, :func:`merge_pieces`)
    agree with the per-round / slice-loop reference implementations kept
-   here on seeded random fragmented access patterns — including empty
-   ranks, single-byte segments and segments straddling collective-buffer
-   window boundaries.
+   here on seeded and Hypothesis-drawn fragmented access patterns —
+   including empty ranks, single-byte segments and segments straddling
+   collective-buffer windows and file domains.
 
 2. A determinism regression test asserting the smoke-scale hot-path
    configs still reproduce the virtual-time results recorded in
@@ -21,16 +21,22 @@ from __future__ import annotations
 
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datatypes.flatten import Segments, intersect_range
 from repro.datatypes.packing import dense_starts
 from repro.harness.hotpath import CONFIGS, run_config
+from repro.lustre.layout import StripeLayout
+from repro.mpiio.aggregation import partition_file_domains
 from repro.mpiio.two_phase import (_send_lists_from_plan, data_positions,
                                    extract_data, merge_pieces, place_data,
                                    plan_rounds)
+from repro.validate.invariants import check_exchange_plan
 
 REF = (pathlib.Path(__file__).resolve().parents[1]
        / "benchmarks" / "ref_hotpath.json")
@@ -134,25 +140,90 @@ def test_plan_rounds_matches_per_round_reference(seed, nsegs, max_len,
     starts, ends = random_domains(rng, naggs, span_hi)
     aggs = list(range(naggs))
 
-    plan = plan_rounds(segs, aggs, starts, ends, cb)
+    assert_plan_matches_reference(segs, aggs, starts, ends, cb)
+
+
+def assert_plan_matches_reference(segs, aggs, starts, ends, cb):
+    """Every round's send lists out of the flat plan equal the per-round
+    reference, key order included, and the plan passes the invariant."""
+    plan = plan_rounds(segs, starts, ends, cb)
     nrounds = int(max((int(e - s) + cb - 1) // cb
                       for s, e in zip(starts, ends)))
     # one extra round past the last: both sides must agree it is empty
     for rnd in range(nrounds + 1):
         ref = _send_lists_for_round(segs, aggs, starts, ends, rnd, cb)
         fast = _send_lists_from_plan(plan, rnd)
-        assert set(fast) == set(ref)
+        assert list(fast) == list(ref)
         for a in ref:
             np.testing.assert_array_equal(fast[a][0], ref[a][0])
             np.testing.assert_array_equal(fast[a][1], ref[a][1])
+    check_exchange_plan(segs, plan, nrounds)
+
+
+@st.composite
+def plan_inputs(draw):
+    """One rank's segments, the file domains, and ``cb``.
+
+    Lengths mix single bytes, lengths around ``cb`` and runs of many
+    windows, so pieces straddle windows and domains; an empty list is an
+    idle rank.  Domains come from :func:`partition_file_domains` over a
+    range at least as wide as the rank's extent, with or without stripe
+    snapping, so empty and snapped domains occur.
+    """
+    cb = draw(st.integers(1, 4096))
+    length = st.one_of(st.just(1), st.integers(1, 3 * cb),
+                       st.integers(1, 20 * cb))
+    pairs = draw(st.lists(st.tuples(st.integers(0, cb), length),
+                          max_size=12))
+    lo = draw(st.integers(0, 2 * cb))
+    gaps = np.array([g for g, _ in pairs], dtype=np.int64)
+    lens = np.array([n for _, n in pairs], dtype=np.int64)
+    offs = lo + np.cumsum(gaps + lens) - lens
+    hi = int(offs[-1] + lens[-1]) if pairs else lo
+    fd_min = lo - draw(st.integers(0, lo))
+    fd_max = hi + draw(st.integers(0, 4 * cb))
+    naggs = draw(st.integers(1, 16))
+    stripe = draw(st.sampled_from([None, 1, 64, 1000, 4096]))
+    align = None if stripe is None else StripeLayout(stripe, 1, 1)
+    starts, ends = partition_file_domains(fd_min, fd_max, naggs, align)
+    return (offs, lens), starts, ends, cb
+
+
+@settings(max_examples=150)
+@given(plan_inputs())
+def test_plan_rounds_property_matches_per_round_reference(inputs):
+    segs, starts, ends, cb = inputs
+    assert_plan_matches_reference(segs, list(range(starts.size)), starts,
+                                  ends, cb)
 
 
 def test_plan_rounds_empty_rank_is_empty_plan():
     segs = (np.empty(0, np.int64), np.empty(0, np.int64))
     starts = np.array([0, 512], dtype=np.int64)
     ends = np.array([512, 1024], dtype=np.int64)
-    assert plan_rounds(segs, [0, 1], starts, ends, 128) == []
-    assert _send_lists_from_plan([], 0) == {}
+    plan = plan_rounds(segs, starts, ends, 128)
+    assert plan.offs.size == plan.lens.size == 0
+    assert plan.aggs.size == plan.rounds.size == 0
+    assert _send_lists_from_plan(plan, 0) == {}
+
+
+def test_plan_rounds_memory_is_four_arrays():
+    """8,192 pieces over 1,024 domains keep four int64 arrays (256 KiB)
+    plus the round bounds; per-domain arrays kept about 632 KiB."""
+    ndom, per_dom = 1024, 8192
+    offs = np.arange(0, ndom * per_dom, 1024, dtype=np.int64)
+    lens = np.full(offs.size, 512, dtype=np.int64)
+    starts = np.arange(0, ndom * per_dom, per_dom, dtype=np.int64)
+    ends = starts + per_dom
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = plan_rounds((offs, lens), starts, ends, 2048)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert plan.offs.size == 8192
+    assert kept <= 320 * 1024, f"plan keeps {kept / 1024:.0f} KiB"
 
 
 # shapes for the copy kernel: lengths shared by many segments move by

@@ -1,11 +1,18 @@
 """Transport protocol internals: eager/rendezvous boundary, NIC accounting,
 mailbox behaviour, request states."""
 
+import tracemalloc
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import MachineConfig, NetworkParams
+from repro.sim import Engine, Event
 from repro.simmpi import Payload, World
-from repro.simmpi.p2p import Mailbox, Message, PostedRecv, RTS_BYTES
+from repro.simmpi.p2p import (ANY_SOURCE, ANY_TAG, Mailbox, Message,
+                              PostedRecv, RTS_BYTES)
 
 
 def make_world(threshold, nprocs=4):
@@ -133,6 +140,152 @@ class TestMailbox:
         mb = Mailbox()
         mb.add_posted(self.pr())
         assert "1 posted" in mb.describe()
+
+
+class ReferenceMailbox:
+    """MPI matching by linear scan over one ordered list per queue."""
+
+    def __init__(self):
+        self.posted: list[PostedRecv] = []
+        self.unexpected: list[Message] = []
+        self.exact_matches = 0
+        self.wildcard_matches = 0
+
+    def match_posted(self, msg):
+        for i, pr in enumerate(self.posted):
+            if pr.matches(msg):
+                del self.posted[i]
+                if pr.src == ANY_SOURCE or pr.tag == ANY_TAG:
+                    self.wildcard_matches += 1
+                else:
+                    self.exact_matches += 1
+                return pr
+        return None
+
+    def match_unexpected_key(self, ctx, src, tag):
+        for i, msg in enumerate(self.unexpected):
+            if (msg.ctx == ctx and src in (ANY_SOURCE, msg.src)
+                    and tag in (ANY_TAG, msg.tag)):
+                del self.unexpected[i]
+                if src == ANY_SOURCE or tag == ANY_TAG:
+                    self.wildcard_matches += 1
+                else:
+                    self.exact_matches += 1
+                return msg
+        return None
+
+
+# 2 contexts x 3 sources x 2 tags; receives may also use the wildcards
+_ctx = st.integers(0, 1)
+_src = st.integers(0, 2)
+_tag = st.integers(0, 1)
+mailbox_ops = st.lists(st.one_of(
+    st.tuples(st.just("post"), _ctx, st.one_of(_src, st.just(ANY_SOURCE)),
+              st.one_of(_tag, st.just(ANY_TAG))),
+    st.tuples(st.just("arrive"), _ctx, _src, _tag),
+    st.tuples(st.just("match_posted"), _ctx, _src, _tag),
+    st.tuples(st.just("match_unexpected"), _ctx,
+              st.one_of(_src, st.just(ANY_SOURCE)),
+              st.one_of(_tag, st.just(ANY_TAG))),
+), max_size=80)
+
+
+@settings(max_examples=200)
+@given(mailbox_ops)
+def test_mailbox_matches_linear_scan_reference(ops):
+    """Same matched objects and counters as MPI's linear-scan rules."""
+    engine = Engine()
+    mb, ref = Mailbox(), ReferenceMailbox()
+    for seq, (op, ctx, src, tag) in enumerate(ops, start=1):
+        if op == "post":
+            pr = PostedRecv(ctx, src, tag, Event(engine, "e"), seq)
+            mb.add_posted(pr)
+            ref.posted.append(pr)
+        elif op == "arrive":
+            msg = Message(ctx, src, 0, tag, Payload.model(4), False, None,
+                          seq)
+            mb.add_unexpected(msg)
+            ref.unexpected.append(msg)
+        elif op == "match_posted":
+            probe = Message(ctx, src, 0, tag, Payload.model(4), False,
+                            None, seq)
+            assert mb.match_posted(probe) is ref.match_posted(probe)
+        else:
+            assert (mb.match_unexpected_key(ctx, src, tag)
+                    is ref.match_unexpected_key(ctx, src, tag))
+        assert mb.n_posted == len(ref.posted)
+        assert mb.n_unexpected == len(ref.unexpected)
+        assert mb.exact_matches == ref.exact_matches
+        assert mb.wildcard_matches == ref.wildcard_matches
+
+
+class TestMailboxSlots:
+    """A key's value is its one entry, a deque from the second, and gone
+    once the deque empties."""
+
+    def test_posted_slot_grows_to_deque_and_empties(self):
+        engine = Engine()
+        mb = Mailbox()
+        prs = [PostedRecv(0, 1, 5, Event(engine, "e"), seq)
+               for seq in (1, 2, 3)]
+        mb.add_posted(prs[0])
+        assert mb.posted_exact[(0, 1, 5)] is prs[0]
+        mb.add_posted(prs[1])
+        mb.add_posted(prs[2])
+        assert list(mb.posted_exact[(0, 1, 5)]) == prs
+        msg = Message(0, 1, 0, 5, Payload.model(4), False, None, 9)
+        assert [mb.match_posted(msg) for _ in range(3)] == prs
+        assert mb.posted_exact == {}
+        assert mb.match_posted(msg) is None
+
+    def test_unexpected_slot_grows_to_deque_and_empties(self):
+        mb = Mailbox()
+        msgs = [Message(0, 1, 0, 5, Payload.model(4), False, None, seq)
+                for seq in (1, 2, 3)]
+        mb.add_unexpected(msgs[0])
+        assert mb.unexpected_by_key[(0, 1, 5)] is msgs[0]
+        mb.add_unexpected(msgs[1])
+        assert isinstance(mb.unexpected_by_key[(0, 1, 5)], deque)
+        mb.add_unexpected(msgs[2])
+        got = [mb.match_unexpected_key(0, 1, 5),
+               mb.match_unexpected_key(0, ANY_SOURCE, ANY_TAG),
+               mb.match_unexpected_key(0, 1, 5)]
+        assert got == msgs
+        assert mb.unexpected_by_key == {}
+
+
+def _bytes_per_add(add, items) -> float:
+    """Traced bytes the mailbox keeps per ``add(item)``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for item in items:
+            add(item)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return grown / len(items)
+
+
+class TestMailboxMemory:
+    """A fresh key costs its dict entry and key tuple, not a deque."""
+
+    N = 20_000
+
+    def test_posted_receive_on_fresh_key(self):
+        engine = Engine()
+        mb = Mailbox()
+        prs = [PostedRecv(0, 1, 1000 + i, Event(engine, "e"), i)
+               for i in range(self.N)]
+        per = _bytes_per_add(mb.add_posted, prs)
+        assert per < 200, f"{per:.0f} B per posted receive"
+
+    def test_early_message_on_fresh_key(self):
+        mb = Mailbox()
+        msgs = [Message(0, 1, 0, 1000 + i, Payload.model(4), False, None, i)
+                for i in range(self.N)]
+        per = _bytes_per_add(mb.add_unexpected, msgs)
+        assert per < 250, f"{per:.0f} B per early message"
 
 
 class TestNicAccounting:

@@ -154,6 +154,14 @@ class TestIviewRoundtrip:
             check_iview_roundtrip(Lossy(iview_for()))
 
 
+def drop_piece(plan, i):
+    """``plan`` without piece ``i``, its round bounds kept consistent."""
+    return plan._replace(
+        offs=np.delete(plan.offs, i), lens=np.delete(plan.lens, i),
+        aggs=np.delete(plan.aggs, i), rounds=np.delete(plan.rounds, i),
+        bounds=[b - (b > i) for b in plan.bounds])
+
+
 class TestExchangePlan:
     def segs(self):
         offs = np.array([0, 512, 1024], dtype=np.int64)
@@ -163,27 +171,46 @@ class TestExchangePlan:
     def plan(self, segs):
         starts = np.array([0, 768], dtype=np.int64)
         ends = np.array([768, 2048], dtype=np.int64)
-        return plan_rounds(segs, [0, 1], starts, ends, cb=256)
+        return plan_rounds(segs, starts, ends, cb=256)
 
     def test_real_plan_passes(self):
         segs = self.segs()
         plan = self.plan(segs)
-        ntimes = max(int(p[3].max()) for p in plan if p[3].size) + 1
+        ntimes = int(plan.rounds.max()) + 1
         check_exchange_plan(segs, plan, ntimes)
 
     def test_lost_piece_fires(self):
         segs = self.segs()
         plan = self.plan(segs)
         ntimes = 8
-        broken = [(p[0], p[1][:-1], p[2][:-1], p[3][:-1]) for p in plan[:1]]
+        # the last piece bound for aggregator 0
+        broken = drop_piece(plan, int(np.flatnonzero(plan.aggs == 0)[-1]))
         with pytest.raises(ValidationError, match="created or lost|empty round plan"):
-            check_exchange_plan(segs, broken + list(plan[1:]), ntimes)
+            check_exchange_plan(segs, broken, ntimes)
 
     def test_round_out_of_range_fires(self):
         segs = self.segs()
         plan = self.plan(segs)
         with pytest.raises(ValidationError, match="targets round"):
             check_exchange_plan(segs, plan, ntimes=0 + 0)
+
+    def test_unsorted_pieces_fire(self):
+        segs = self.segs()
+        plan = self.plan(segs)
+        order = np.arange(plan.offs.size)[::-1]
+        broken = plan._replace(offs=plan.offs[order], lens=plan.lens[order],
+                               aggs=plan.aggs[order],
+                               rounds=plan.rounds[order])
+        with pytest.raises(ValidationError, match="not sorted"):
+            check_exchange_plan(segs, broken, ntimes=8)
+
+    def test_stale_bounds_fire(self):
+        segs = self.segs()
+        plan = self.plan(segs)
+        broken = plan._replace(bounds=[0] * (len(plan.bounds) - 1)
+                               + [plan.offs.size])
+        with pytest.raises(ValidationError, match="bounds"):
+            check_exchange_plan(segs, broken, ntimes=8)
 
 
 class TestRoundConservation:
