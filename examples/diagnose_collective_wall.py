@@ -4,17 +4,16 @@
 Given a workload that scales badly, is it the *collective wall*
 (synchronization) or an I/O capacity limit?  This example:
 
-1. calibrates the platform's primitives (like lmbench/IOR micro-runs);
-2. sweeps the process count, collecting per-category time breakdowns;
-3. prints the Figure-2-style table and an automatic diagnosis;
-4. attaches a trace and shows how ParColl flattens the OST load bursts.
+1. sweeps the process count, collecting per-category time breakdowns;
+2. prints the Figure-2-style table and an automatic diagnosis;
+3. attaches a trace and shows how ParColl flattens the OST load bursts.
 
 Run:  python examples/diagnose_collective_wall.py
 """
 
 from functools import partial
 
-from repro.analysis import (BreakdownSeries, burstiness, calibrate, ost_load,
+from repro.analysis import (BreakdownSeries, burstiness, ost_load,
                             wall_diagnosis)
 from repro.cluster import MachineConfig
 from repro.harness import ExperimentConfig, format_table, run_experiment
@@ -28,13 +27,8 @@ from repro.workloads.base import deterministic_bytes
 LUSTRE = {"n_osts": 72, "default_stripe_count": 64}
 
 
-def step1_calibrate():
-    print("== platform calibration ==")
-    print(calibrate(proc_counts=(16, 64)).summary())
-
-
-def step2_sweep():
-    print("\n== process-count sweep (tile-IO, ext2ph baseline) ==")
+def step1_sweep():
+    print("== process-count sweep (tile-IO, ext2ph baseline) ==")
     series = BreakdownSeries()
     rows = []
     for p in (16, 32, 64, 128):
@@ -52,7 +46,7 @@ def step2_sweep():
     print("\ndiagnosis:", wall_diagnosis(series))
 
 
-def step3_trace(protocol, ngroups):
+def step2_trace(protocol, ngroups):
     world = World(MachineConfig(nprocs=32, cores_per_node=2))
     trace = TraceRecorder()
     fs = LustreFS(world.engine,
@@ -75,14 +69,13 @@ def step3_trace(protocol, ngroups):
 
 
 def main():
-    step1_calibrate()
-    step2_sweep()
+    step1_sweep()
 
     print("\n== OST load: global rounds vs drifting subgroups ==")
     rows = []
     for name, proto, g in (("ext2ph (global rounds)", "ext2ph", 1),
                            ("ParColl-8", "parcoll", 8)):
-        trace, t_end = step3_trace(proto, g)
+        trace, t_end = step2_trace(proto, g)
         load = ost_load(trace)
         busy = sum(load.per_ost_busy.values())
         util = busy / (16 * t_end)

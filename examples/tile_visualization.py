@@ -4,8 +4,7 @@
 A parallel renderer writes one tile of a dense 2-D frame per process —
 the paper's motivating visualization workload (Figures 7-9).  This
 example sweeps the ParColl subgroup count for one frame and prints the
-bandwidth curve with its interior optimum, then demonstrates the
-autotuner picking a group count without a sweep.
+bandwidth curve with its interior optimum.
 
 Run:  python examples/tile_visualization.py
 """
@@ -13,9 +12,7 @@ Run:  python examples/tile_visualization.py
 from functools import partial
 
 from repro.harness import ExperimentConfig, format_table, mb_per_s, run_experiment
-from repro.parcoll.autotune import recommend_groups
 from repro.workloads import TileIOConfig, tile_io_program
-from repro.workloads.tile_io import tile_filetype
 
 NPROCS = 64
 LUSTRE = {"n_osts": 72, "default_stripe_count": 64}
@@ -45,15 +42,6 @@ def main():
         ["groups", "write MB/s", "sync max (s)", "sync %"], rows,
         title=f"One 3 GB frame from {NPROCS} renderers (48 MB tiles)"))
     print(f"\nswept optimum: {best[0]} groups at {best[1]:.0f} MB/s")
-
-    # what would the autotuner have picked, without any sweep?
-    wl = TileIOConfig(tile_rows=1024, tile_cols=768, element_size=64)
-    extents = []
-    for rank in range(NPROCS):
-        o, l = tile_filetype(wl, NPROCS, rank).segments()
-        extents.append((int(o[0]), int(o[-1] + l[-1]), int(l.sum())))
-    g = recommend_groups(extents, nprocs=NPROCS, n_osts=72)
-    print(f"autotuner recommendation: {g} groups")
 
 
 if __name__ == "__main__":

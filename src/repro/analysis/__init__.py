@@ -1,40 +1,25 @@
-"""Post-run analysis: breakdown aggregation, coverage checking, calibration.
+"""Post-run analysis: breakdown aggregation, fault impact, OST timelines.
 
-Tools a user pointed at a finished run (or a planned one) reaches for:
+Tools a user pointed at a finished run reaches for:
 
 * :mod:`repro.analysis.breakdown` — turn per-rank time breakdowns into
   the paper's Figure-2-style series and wall diagnostics;
-* :mod:`repro.analysis.coverage` — verify that a set of per-rank access
-  patterns tile a file exactly (no gaps, no overlaps) before running it;
-* :mod:`repro.analysis.calibration` — measure the simulated platform's
-  effective primitives (point-to-point latency/bandwidth, collective
-  scaling, raw OST throughput) the way one would calibrate a real
-  machine with micro-benchmarks;
 * :mod:`repro.analysis.faults` — probe every fault class at its
   representative severity and compare per-protocol damage (wall loss,
   blast radius, retry cost);
-* :mod:`repro.analysis.protocol_zoo` — race every registered collective
-  protocol across the workload patterns and advise the best
-  protocol/hints per pattern (tunable protocols golden-section tuned).
+* :mod:`repro.analysis.timeline` — OST load, utilization curves and
+  burstiness from a recorded trace.
 """
 
 from repro.analysis.breakdown import BreakdownSeries, wall_diagnosis
-from repro.analysis.coverage import CoverageReport, check_coverage
-from repro.analysis.calibration import PlatformCalibration, calibrate
 from repro.analysis.faults import (FaultImpact, FaultImpactReport,
                                    fault_impact)
-from repro.analysis.protocol_zoo import (ZooEntry, ZooLeaderboard,
-                                         protocol_zoo, zoo_patterns)
 from repro.analysis.timeline import (OstLoadSummary, burstiness, ost_load,
                                      utilization_curve)
 
 __all__ = [
     "BreakdownSeries",
     "wall_diagnosis",
-    "CoverageReport",
-    "check_coverage",
-    "PlatformCalibration",
-    "calibrate",
     "FaultImpact",
     "FaultImpactReport",
     "fault_impact",
@@ -42,8 +27,4 @@ __all__ = [
     "ost_load",
     "utilization_curve",
     "burstiness",
-    "ZooEntry",
-    "ZooLeaderboard",
-    "protocol_zoo",
-    "zoo_patterns",
 ]

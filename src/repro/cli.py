@@ -5,10 +5,8 @@ Usage::
     python -m repro.cli figure 7 [--scale paper] [-j 4]
     python -m repro.cli figure 9 --collective-mode hybrid:sync=analytic
     python -m repro.cli figures -j 4        # all of them, 4 workers
-    python -m repro.cli calibrate           # platform micro-benchmarks
     python -m repro.cli backends            # collective-fidelity backends
     python -m repro.cli protocols           # collective-I/O protocols
-    python -m repro.cli zoo [--nprocs 16]   # protocol leaderboard + advisor
     python -m repro.cli faults classes      # available fault classes
     python -m repro.cli faults sweep straggler [--severities 0.5,0.9]
     python -m repro.cli faults report       # per-class impact comparison
@@ -255,21 +253,8 @@ def main(argv: list[str] | None = None) -> int:
                        default="small")
     _add_parallel_flags(p_all)
 
-    sub.add_parser("calibrate", help="run platform micro-benchmarks")
     sub.add_parser("backends", help="list collective-fidelity backends")
     sub.add_parser("protocols", help="list collective-I/O protocols")
-
-    p_zoo = sub.add_parser(
-        "zoo", help="race every protocol, print leaderboard + advisor picks")
-    p_zoo.add_argument("--nprocs", type=int, default=16,
-                       help="process count (default 16; square counts "
-                            "include the BT-IO pattern)")
-    p_zoo.add_argument("--scale", choices=("small", "paper"),
-                       default="small")
-    p_zoo.add_argument("--max-evals", type=int, default=6, metavar="N",
-                       help="fresh runs the golden-section tuner may "
-                            "spend per tunable protocol (default 6)")
-    _add_parallel_flags(p_zoo)
 
     p_faults = sub.add_parser(
         "faults", help="fault-injection sweeps and impact reports")
@@ -359,11 +344,6 @@ def main(argv: list[str] | None = None) -> int:
         return _run_faults(args)
     if args.command == "perf":
         return _run_perf(args)
-    if args.command == "calibrate":
-        from repro.analysis import calibrate
-
-        print(calibrate().summary())
-        return 0
     if args.command == "backends":
         from repro.simmpi.backends import (available_backends,
                                            resolve_backend)
@@ -379,21 +359,6 @@ def main(argv: list[str] | None = None) -> int:
             proto = resolve_protocol(name)
             doc = (type(proto).__doc__ or "").strip().splitlines()[0]
             print(f"{name:>12}: {doc}")
-        return 0
-    if args.command == "zoo":
-        from repro.analysis import protocol_zoo
-        from repro.errors import ConfigError
-
-        executor = _make_executor(args.jobs, args.no_cache,
-                                  validate=args.validate)
-        try:
-            board = protocol_zoo(nprocs=args.nprocs, scale=args.scale,
-                                 max_evals=args.max_evals,
-                                 executor=executor)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(board.summary())
         return 0
     if args.command == "cache":
         from repro.harness.parallel import RunCache

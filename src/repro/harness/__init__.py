@@ -13,7 +13,6 @@ from repro.harness.parallel import (ExperimentExecutor, ExperimentTask,
 from repro.harness.fault_sweep import FAULT_CLASSES, fault_sweep
 from repro.harness.report import (breakdown_table, format_table, mb_per_s,
                                   run_report)
-from repro.harness.sweep import Sweep, SweepPoint
 
 __all__ = [
     "ExperimentConfig",
@@ -29,6 +28,4 @@ __all__ = [
     "format_table",
     "mb_per_s",
     "run_report",
-    "Sweep",
-    "SweepPoint",
 ]

@@ -25,10 +25,11 @@ class ExperimentConfig:
 
     ``collective_mode`` is a collective-fidelity backend spec
     (:mod:`repro.simmpi.backends`): ``analytic``, ``detailed``,
-    ``hybrid[:<category>=<fidelity>,...]`` for per-category selection —
-    the large-rank sweep configuration is
+    ``macro``, ``hybrid[:<category>=<fidelity>,...]`` for per-category
+    selection — the large-rank sweep configuration is
     ``hybrid:sync=analytic,default=detailed`` — or
-    ``sizethreshold:<bytes>`` for size-dependent dispatch.
+    ``scoped[:world=<fidelity>,default=<fidelity>]`` for
+    communicator-scope selection.
 
     ``faults`` is a :class:`~repro.faults.FaultPlan` (or its ``to_dict``
     mapping / event tuple); an empty plan is the default and leaves the

@@ -14,8 +14,8 @@ This is the open-source MPI-IO implementation the paper layers ParColl on
   data movement, 'io' for file reads/writes);
 * user hints (``cb_buffer_size``, ``cb_nodes``, ParColl controls);
 * the :mod:`repro.mpiio.protocols` registry, which makes collective
-  strategies (``ext2ph``, ``parcoll``, ``independent``, ``nodeagg``,
-  ``listio``) first-class plugins selected by the ``protocol`` hint.
+  strategies (``ext2ph``, ``parcoll``, ``independent``, ``nodeagg``)
+  first-class plugins selected by the ``protocol`` hint.
 
 Running ext2ph on ``COMM_WORLD`` is the paper's baseline ("Cray"
 equivalent); :mod:`repro.parcoll` reuses the same engine per subgroup.

@@ -10,11 +10,10 @@ explicit ``nbytes`` in model mode.
 :mod:`repro.mpiio.protocols` registry and delegate — the file layer holds
 no strategy logic of its own.  Builtins: ``ext2ph`` (the paper's
 baseline), ``parcoll`` (partitioned collective I/O), ``independent``
-(the paper's "w/o Coll" configuration), ``nodeagg`` (intra-node request
-aggregation) and ``listio`` (direct list I/O).  All ranks of one
-collective call must resolve the same protocol; divergence raises
-:class:`~repro.errors.ParCollError` (the same symmetry contract the
-collective backends enforce).
+(the paper's "w/o Coll" configuration) and ``nodeagg`` (intra-node
+request aggregation).  All ranks of one collective call must resolve the
+same protocol; divergence raises :class:`~repro.errors.ParCollError`
+(the same symmetry contract the collective backends enforce).
 
 On close, every rank's per-category times since open are gathered to rank
 0 — the run summary the paper's profiling reports at file close.

@@ -26,12 +26,9 @@ class IOHints:
     #: explicit aggregator ranks (communicator ranks); overrides cb_nodes
     cb_config_ranks: Optional[tuple[int, ...]] = None
     #: collective protocol used by *_all operations; any spec registered
-    #: in :mod:`repro.mpiio.protocols` (e.g. 'ext2ph', 'parcoll',
-    #: 'independent', 'nodeagg', 'listio', 'listio:<max_segments>')
+    #: in :mod:`repro.mpiio.protocols` ('ext2ph', 'parcoll',
+    #: 'independent', 'nodeagg')
     protocol: str = "ext2ph"
-    #: list I/O: extents per file-system request (the fixed accessor-array
-    #: size of a real list-I/O API); only the 'listio' protocol reads it
-    listio_max_segments: int = 64
     #: ParColl: number of subgroups (file areas); 1 degenerates to ext2ph
     parcoll_ngroups: int = 1
     #: ParColl: allow switching to an intermediate file view (pattern (c))
@@ -100,8 +97,6 @@ class IOHints:
             resolve_protocol(self.protocol)
         except ParCollError as exc:
             raise MPIIOError(str(exc)) from exc
-        if self.listio_max_segments <= 0:
-            raise MPIIOError("listio_max_segments must be positive")
         if self.parcoll_ngroups <= 0:
             raise MPIIOError("parcoll_ngroups must be positive")
         if self.parcoll_data_path not in ("physical", "logical"):

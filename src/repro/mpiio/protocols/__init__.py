@@ -21,10 +21,7 @@ this package); call sites resolve them by spec string only:
     partitioned collective I/O (:mod:`repro.parcoll`);
 ``"nodeagg"``
     intra-node request aggregation: cores funnel requests through a node
-    leader before the inter-node exchange (Kang et al.);
-``"listio"`` / ``"listio:<max_segments>"``
-    list I/O: the flattened extent list goes to the file system directly,
-    in bounded batches (Ching et al., PVFS).
+    leader before the inter-node exchange (Kang et al.).
 
 Like collective backends, every rank of a communicator must run one
 collective call through the same protocol — the file layer enforces this
@@ -100,7 +97,6 @@ def _ensure_builtins() -> None:
     import repro.mpiio.protocols.twophase  # noqa: F401  ('ext2ph')
     import repro.mpiio.protocols.partitioned  # noqa: F401  ('parcoll')
     import repro.mpiio.protocols.nodeagg  # noqa: F401  ('nodeagg')
-    import repro.mpiio.protocols.listio  # noqa: F401  ('listio')
 
 
 def available_protocols() -> tuple[str, ...]:

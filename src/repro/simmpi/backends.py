@@ -19,12 +19,19 @@ spec string only:
     every collective uses the LogP site model;
 ``"detailed"``
     every collective runs its message schedule;
+``"macro"``
+    the synchronizing collectives replay their detailed message schedule
+    in closed form (bit-identical virtual time, far fewer events); the
+    rest run detailed (:mod:`repro.simmpi.collectives_macro`);
 ``"hybrid"``
     per-category selection with the default table
     ``sync=analytic``, everything else ``detailed``;
 ``"hybrid:sync=analytic,exchange=detailed,io=detailed"``
     explicit per-category table; a ``default=<fidelity>`` entry sets the
-    fidelity of categories not listed.
+    fidelity of categories not listed;
+``"scoped:world=analytic,default=macro"``
+    one fidelity for collectives on the world communicator, another for
+    collectives on derived communicators (see :class:`ScopedBackend`).
 
 All ranks must run any given collective through the same fidelity — a
 backend is world-global or installed symmetrically on every rank's handle
@@ -45,18 +52,16 @@ class CollectiveBackend:
     #: registry name of this backend (set by subclasses)
     name: str = "?"
 
-    def fidelity(self, category: str, nbytes: Optional[int] = None,
-                 comm=None) -> str:
-        """Leaf fidelity ('analytic' / 'detailed') for one collective.
+    def fidelity(self, category: str, comm=None) -> str:
+        """Leaf fidelity ('analytic', 'detailed' or 'macro') for one
+        collective.
 
         ``category`` is the time-accounting category the call site charges
-        the collective to ('sync', 'exchange', 'io', ...); ``nbytes`` is
-        the caller-declared per-rank message size, or None when the call
-        site sized the payload by introspection.  ``comm`` is the issuing
-        communicator (or None from call sites that predate it) — scope
-        backends dispatch on its (rank-symmetric) identity, e.g. world
-        versus derived subgroup.  Implementations must return the same
-        fidelity on every rank for one collective — dispatch only on
+        the collective to ('sync', 'exchange', 'io', ...).  ``comm`` is the
+        issuing communicator (or None when the caller has none to name) —
+        scope backends dispatch on its (rank-symmetric) identity, e.g.
+        world versus derived subgroup.  Implementations must return the
+        same fidelity on every rank for one collective — dispatch only on
         these (rank-symmetric) arguments.
         """
         raise NotImplementedError
@@ -135,8 +140,7 @@ def _reject_options(name: str, options: str) -> None:
 class _LeafBackend(CollectiveBackend):
     """A single-fidelity backend: every category runs the same path."""
 
-    def fidelity(self, category: str, nbytes: Optional[int] = None,
-                 comm=None) -> str:
+    def fidelity(self, category: str, comm=None) -> str:
         return self.name
 
     @classmethod
@@ -172,8 +176,7 @@ class HybridBackend(CollectiveBackend):
                     f"{leaf_fidelities()}, got {fid!r}"
                 )
 
-    def fidelity(self, category: str, nbytes: Optional[int] = None,
-                 comm=None) -> str:
+    def fidelity(self, category: str, comm=None) -> str:
         return self._table.get(category, self._default)
 
     def describe(self) -> str:
@@ -205,94 +208,6 @@ class HybridBackend(CollectiveBackend):
 
 
 register_backend(HybridBackend.name, HybridBackend.from_spec)
-
-
-class SizeThresholdBackend(CollectiveBackend):
-    """Size-dependent fidelity: small collectives detailed, large analytic.
-
-    The ROADMAP's observation: detailed message schedules matter most for
-    small collectives, where per-message overheads and tree shape
-    dominate, while large transfers are bandwidth-bound and the analytic
-    LogP cost converges to the schedule's answer — so a sweep can keep
-    fidelity where it pays and speed where it doesn't.
-    ``sizethreshold:<bytes>`` runs the ``below`` fidelity (default
-    detailed) when the declared size is under ``<bytes>`` and the
-    ``above`` fidelity (default analytic) at or over it.  Collectives
-    with no declared size (None) take the ``below`` path: introspected
-    payloads are exactly the small control-plane messages the detailed
-    model exists for, and rank-local sizing must not steer dispatch.
-
-    ``benchmarks/bench_sizethreshold_calibration.py`` picks ``<bytes>``
-    empirically by comparing analytic and detailed schedules across
-    sizes.
-    """
-
-    name = "sizethreshold"
-    DEFAULT_THRESHOLD = 64 << 10
-
-    def __init__(self, threshold: int = DEFAULT_THRESHOLD,
-                 below: str = "detailed", above: str = "analytic"):
-        _ensure_builtins()
-        if threshold <= 0:
-            raise MPIError(
-                f"sizethreshold: threshold must be > 0 bytes, got {threshold}")
-        for role, fid in (("below", below), ("above", above)):
-            if fid not in _LEAF_FIDELITIES:
-                raise MPIError(
-                    f"sizethreshold {role!r} fidelity must be one of "
-                    f"{leaf_fidelities()}, got {fid!r}"
-                )
-        self.threshold = int(threshold)
-        self.below = below
-        self.above = above
-
-    def fidelity(self, category: str, nbytes: Optional[int] = None,
-                 comm=None) -> str:
-        if nbytes is None or nbytes < self.threshold:
-            return self.below
-        return self.above
-
-    def describe(self) -> str:
-        out = f"{self.name}:{self.threshold}"
-        if self.below != "detailed":
-            out += f",below={self.below}"
-        if self.above != "analytic":
-            out += f",above={self.above}"
-        return out
-
-    @classmethod
-    def from_spec(cls, options: str) -> "SizeThresholdBackend":
-        """Parse ``<bytes>[,below=<fid>][,above=<fid>]``."""
-        if not options:
-            return cls()
-        parts = options.split(",")
-        kwargs: dict = {}
-        head = parts[0].strip()
-        rest = parts[1:]
-        if head and "=" not in head:
-            try:
-                kwargs["threshold"] = int(head)
-            except ValueError:
-                raise MPIError(
-                    f"sizethreshold: expected an integer byte threshold, "
-                    f"got {head!r}"
-                ) from None
-        elif head:
-            rest = parts
-        for item in rest:
-            key, sep, val = item.partition("=")
-            key, val = key.strip(), val.strip()
-            if not sep or key not in ("below", "above") or not val:
-                raise MPIError(
-                    f"malformed sizethreshold option {item!r}; expected "
-                    "'sizethreshold:<bytes>[,below=<fidelity>]"
-                    "[,above=<fidelity>]'"
-                )
-            kwargs[key] = val
-        return cls(**kwargs)
-
-
-register_backend(SizeThresholdBackend.name, SizeThresholdBackend.from_spec)
 
 
 class ScopedBackend(CollectiveBackend):
@@ -327,8 +242,7 @@ class ScopedBackend(CollectiveBackend):
                     f"{leaf_fidelities()}, got {fid!r}"
                 )
 
-    def fidelity(self, category: str, nbytes: Optional[int] = None,
-                 comm=None) -> str:
+    def fidelity(self, category: str, comm=None) -> str:
         if comm is not None and comm.desc.ctx == 0:
             return self._world
         return self._default

@@ -572,7 +572,6 @@ class Communicator:
     def _collective(self, category: str,
                     analytic_path: Callable[[], Generator],
                     detailed_path: Callable[[], Generator],
-                    nbytes: Optional[int] = None,
                     macro_path: Optional[Callable[[], Generator]] = None
                     ) -> Generator[Any, Any, Any]:
         """Run one collective through the backend-selected path.
@@ -591,12 +590,6 @@ class Communicator:
         arrival instead of deadlocking the message schedule against the
         synchronization site.
 
-        ``nbytes`` is the *caller-declared* per-rank message size of the
-        collective (None when the caller let payload introspection size
-        it).  Size-aware backends dispatch on it; it must be the declared
-        parameter verbatim — never a locally-computed ``sizeof`` — so
-        every rank hands the backend the same number.
-
         ``macro_path`` is the coalesced closed-form replay of the
         detailed schedule; only the synchronizing collectives provide
         one (a rank may leave bcast/reduce/gather/scatter/scan before
@@ -609,7 +602,7 @@ class Communicator:
         if self.size == 1:
             fid = "analytic"  # degenerate: immediate, no traffic either way
         else:
-            fid = self.backend.fidelity(category, nbytes, comm=self)
+            fid = self.backend.fidelity(category, comm=self)
             self._check_fidelity_symmetry(fid, category)
         if fid == "analytic":
             path = analytic_path
@@ -639,13 +632,12 @@ class Communicator:
             )
 
         return (yield from self._collective(
-            category, a, lambda: detailed.barrier(self), nbytes=0,
+            category, a, lambda: detailed.barrier(self),
             macro_path=lambda: macro.barrier(self)))
 
     def bcast(self, obj: Any, root: int = 0, nbytes: Optional[int] = None,
               category: str = "sync") -> Generator[Any, Any, Any]:
         params = self.world.network.params
-        n = sizeof(obj) if (nbytes is None and self.rank == root) else (nbytes or 0)
 
         def combine(vals: dict[int, Any]) -> list:
             return [vals[root]] * self.size
@@ -658,8 +650,7 @@ class Communicator:
             category,
             lambda: self._analytic_site(obj if self.rank == root else None,
                                         combine, cost, kind="bcast"),
-            lambda: detailed.bcast(self, obj, root, nbytes),
-            nbytes=nbytes))
+            lambda: detailed.bcast(self, obj, root, nbytes)))
 
     def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0,
                nbytes: Optional[int] = None,
@@ -677,8 +668,7 @@ class Communicator:
         return (yield from self._collective(
             category,
             lambda: self._analytic_site(value, combine, cost, kind="reduce"),
-            lambda: detailed.reduce(self, value, op, root, nbytes),
-            nbytes=nbytes))
+            lambda: detailed.reduce(self, value, op, root, nbytes)))
 
     def allreduce(self, value: Any, op: ReduceOp = SUM,
                   nbytes: Optional[int] = None,
@@ -698,7 +688,6 @@ class Communicator:
             lambda: self._analytic_site(value, combine, cost,
                                         kind="allreduce"),
             lambda: detailed.allreduce(self, value, op, nbytes),
-            nbytes=nbytes,
             macro_path=lambda: macro.allreduce(self, value, op, nbytes)))
 
     def gather(self, value: Any, root: int = 0, nbytes: Optional[int] = None,
@@ -716,8 +705,7 @@ class Communicator:
         return (yield from self._collective(
             category,
             lambda: self._analytic_site(value, combine, cost, kind="gather"),
-            lambda: detailed.gather(self, value, root, nbytes),
-            nbytes=nbytes))
+            lambda: detailed.gather(self, value, root, nbytes)))
 
     def allgather(self, value: Any, nbytes: Optional[int] = None,
                   category: str = "sync") -> Generator[Any, Any, list]:
@@ -743,7 +731,6 @@ class Communicator:
             category,
             analytic_site,
             lambda: detailed.allgather(self, value, nbytes),
-            nbytes=nbytes,
             macro_path=lambda: macro.allgather(self, value, nbytes)))
 
     def alltoall(self, values: list, nbytes_each: Optional[int] = None,
@@ -778,7 +765,6 @@ class Communicator:
             category,
             analytic_site,
             lambda: detailed.alltoall(self, values, nbytes_each),
-            nbytes=nbytes_each,
             macro_path=lambda: macro.alltoall(self, values, nbytes_each)))
 
     def scatter(self, values: Optional[list] = None, root: int = 0,
@@ -802,8 +788,7 @@ class Communicator:
             category,
             lambda: self._analytic_site(values if self.rank == root else None,
                                         combine, cost, kind="scatter"),
-            lambda: detailed.scatter(self, values, root, nbytes),
-            nbytes=nbytes))
+            lambda: detailed.scatter(self, values, root, nbytes)))
 
     def reduce_scatter_block(self, values: list, op: ReduceOp = SUM,
                              nbytes: Optional[int] = None,
@@ -830,7 +815,6 @@ class Communicator:
             lambda: self._analytic_site(values, combine, cost,
                                         kind="reduce_scatter_block"),
             lambda: detailed.reduce_scatter_block(self, values, op, nbytes),
-            nbytes=nbytes,
             macro_path=lambda: macro.reduce_scatter_block(
                 self, values, op, nbytes)))
 
@@ -855,8 +839,7 @@ class Communicator:
         return (yield from self._collective(
             category,
             lambda: self._analytic_site(value, combine, cost, kind="exscan"),
-            lambda: detailed.exscan(self, value, op, nbytes),
-            nbytes=nbytes))
+            lambda: detailed.exscan(self, value, op, nbytes)))
 
     def scan(self, value: Any, op: ReduceOp = SUM, nbytes: Optional[int] = None,
              category: str = "sync") -> Generator[Any, Any, Any]:
@@ -876,8 +859,7 @@ class Communicator:
         return (yield from self._collective(
             category,
             lambda: self._analytic_site(value, combine, cost, kind="scan"),
-            lambda: detailed.scan(self, value, op, nbytes),
-            nbytes=nbytes))
+            lambda: detailed.scan(self, value, op, nbytes)))
 
     # ------------------------------------------------------------------
     # communicator split

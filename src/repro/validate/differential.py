@@ -50,7 +50,6 @@ BACKENDS = (
     "macro",
     "hybrid:sync=analytic,default=detailed",
     "hybrid:sync=macro,default=detailed",
-    "sizethreshold:2048",
 )
 
 #: the paper's pattern families: (a) serial, (b) tiled, (c) interleaved,
@@ -271,13 +270,9 @@ def protocol_combos(case: DiffCase) -> list[tuple[str, dict]]:
     """
     parcoll_hints = {"protocol": "parcoll", "parcoll_ngroups": case.ngroups,
                      "parcoll_data_path": case.data_path}
-    special = {
-        "parcoll": parcoll_hints,
-        "listio": {"protocol": "listio", "listio_max_segments": 8},
-    }
     combos = []
     for name in available_protocols():
-        hints = dict(special.get(name, {"protocol": name}))
+        hints = parcoll_hints if name == "parcoll" else {"protocol": name}
         combos.append((f"{name}@analytic", hints))
         if name in ("parcoll", "nodeagg") and case.backend != "analytic":
             combos.append((f"{name}@{case.backend}",

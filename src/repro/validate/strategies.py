@@ -56,12 +56,8 @@ def protocol_hints() -> st.SearchStrategy[dict]:
         "protocol": st.just("nodeagg"),
         "parcoll_ngroups": st.sampled_from([1, 2, 4]),
     })
-    listio = st.fixed_dictionaries({
-        "protocol": st.sampled_from(["listio", "listio:16"]),
-        "listio_max_segments": st.sampled_from([2, 8, 64]),
-    })
     return st.one_of(st.just({"protocol": "independent"}), ext2ph, parcoll,
-                     nodeagg, listio)
+                     nodeagg)
 
 
 def fault_plans() -> st.SearchStrategy[FaultPlan]:

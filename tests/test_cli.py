@@ -40,23 +40,8 @@ class TestListing:
     def test_protocols_lists_registry(self, cli):
         code, out, _ = cli("protocols")
         assert code == 0
-        for name in ("independent", "ext2ph", "parcoll", "nodeagg",
-                     "listio"):
+        for name in ("independent", "ext2ph", "parcoll", "nodeagg"):
             assert name in out
-
-
-class TestZoo:
-    def test_zoo_small_race(self, cli):
-        code, out, _ = cli("zoo", "--nprocs", "4", "--max-evals", "2")
-        assert code == 0
-        assert "advisor picks" in out
-        for name in ("independent", "ext2ph", "parcoll"):
-            assert name in out
-
-    def test_zoo_bad_nprocs_exits_2(self, cli):
-        code, _, err = cli("zoo", "--nprocs", "0")
-        assert code == 2
-        assert "error:" in err
 
 
 class TestPerf:

@@ -1,8 +1,8 @@
 """The example scripts must keep running (they are the public quickstart).
 
 Each is executed in-process with its ``main()`` so failures surface as
-ordinary test errors; only the fast examples run here (the heavier
-sweeps are exercised by the benchmarks)."""
+ordinary test errors; only the examples that finish in a few seconds
+run here (the heavier runs are exercised by the benchmarks)."""
 
 import importlib.util
 import pathlib
@@ -22,7 +22,8 @@ def load_example(name):
 
 
 @pytest.mark.parametrize("name", ["quickstart", "aggregator_placement",
-                                  "btio_checkpoint"])
+                                  "btio_checkpoint", "tile_visualization",
+                                  "diagnose_collective_wall"])
 def test_example_runs(name, capsys):
     mod = load_example(name)
     mod.main()

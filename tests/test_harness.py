@@ -1,4 +1,4 @@
-"""Harness: runner, report formatting, sweeps, CLI."""
+"""Harness: runner, report formatting, CLI."""
 
 from functools import partial
 
@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ConfigError
 from repro.harness import ExperimentConfig, format_table, mb_per_s, run_experiment
 from repro.harness.report import format_cell, pct
-from repro.harness.sweep import Sweep
 from repro.workloads import IORConfig, TileIOConfig, ior_program, tile_io_program
 
 
@@ -96,106 +95,6 @@ class TestReport:
         assert lines[0] == "T"
         assert lines[1].endswith("col")
         assert len({len(line) for line in lines[1:]}) == 1  # equal widths
-
-
-class TestSweep:
-    def make_sweep(self):
-        def factory(ngroups):
-            hints = ({"protocol": "ext2ph"} if ngroups == 1 else
-                     {"protocol": "parcoll", "parcoll_ngroups": ngroups})
-            return tiny_tile(nprocs=16, **hints)
-
-        return Sweep("groups", factory)
-
-    def test_points_cached(self):
-        sweep = self.make_sweep()
-        p1 = sweep.at(2)
-        p2 = sweep.at(2)
-        assert p1 is p2
-
-    def test_best_picks_max_bandwidth(self):
-        sweep = self.make_sweep()
-        best = sweep.best([1, 2, 4])
-        assert best.write_mb_s == max(
-            sweep.at(g).write_mb_s for g in (1, 2, 4))
-
-    def test_golden_section_stays_in_range(self):
-        sweep = self.make_sweep()
-        best = sweep.golden_section_max(1, 8)
-        assert best.value in (1, 2, 4, 8)
-
-    def test_table_renders(self):
-        sweep = self.make_sweep()
-        text = sweep.table([1, 2])
-        assert "groups" in text
-        assert "write MB/s" in text
-
-
-class TestGoldenSection:
-    """Edge cases of the power-of-two ternary search and its eval budget."""
-
-    def counting_sweep(self):
-        calls = []
-
-        def factory(g):
-            calls.append(g)
-            hints = ({"protocol": "ext2ph"} if g == 1 else
-                     {"protocol": "parcoll", "parcoll_ngroups": g})
-            return tiny_tile(nprocs=16, **hints)
-
-        return Sweep("groups", factory), calls
-
-    def test_single_element_ladder(self):
-        sweep, calls = self.counting_sweep()
-        best = sweep.golden_section_max(4, 4)
-        assert best.value == 4
-        assert calls == [4]
-
-    def test_lo_equals_hi_at_one(self):
-        sweep, calls = self.counting_sweep()
-        assert sweep.golden_section_max(1, 1).value == 1
-        assert calls == [1]
-
-    def test_non_power_of_two_bounds(self):
-        # the ladder is lo, 2*lo, 4*lo, ... clipped at hi: [3, 6, 12]
-        sweep, calls = self.counting_sweep()
-        best = sweep.golden_section_max(3, 20)
-        assert best.value in (3, 6, 12)
-        assert set(calls) <= {3, 6, 12}
-
-    def test_empty_range_raises(self):
-        sweep, _ = self.counting_sweep()
-        with pytest.raises(ValueError, match="empty search range"):
-            sweep.golden_section_max(16, 8)
-
-    def test_each_point_runs_at_most_once(self):
-        sweep, calls = self.counting_sweep()
-        sweep.golden_section_max(1, 16)
-        assert len(calls) == len(set(calls))
-
-    def test_memoized_probes_are_free(self):
-        # pre-warm the whole ladder: the search must not run anything new
-        sweep, calls = self.counting_sweep()
-        sweep.run([1, 2, 4, 8, 16])
-        warm = list(calls)
-        best = sweep.golden_section_max(1, 16, max_evals=0)
-        assert calls == warm  # zero fresh evaluations
-        assert best.write_mb_s == max(
-            sweep.at(g).write_mb_s for g in (1, 2, 4, 8, 16))
-
-    def test_plateau_curve_converges(self):
-        # a constant objective must terminate and return a ladder point
-        sweep, calls = self.counting_sweep()
-        best = sweep.golden_section_max(1, 16, key=lambda pt: 1.0)
-        assert best.value in (1, 2, 4, 8, 16)
-        assert len(calls) <= 5
-
-    def test_budget_bounds_fresh_runs(self):
-        sweep, calls = self.counting_sweep()
-        sweep.golden_section_max(1, 64, max_evals=2)
-        # one probe pair, then the final best over the shrunken bracket;
-        # the bracket holds at most 5 untouched ladder points here
-        assert len(calls) <= 2 + 5
 
 
 class TestCLI:

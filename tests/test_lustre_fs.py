@@ -141,6 +141,23 @@ def test_single_ost_contention_serializes_clients():
     assert times[1] >= 0.002
 
 
+def test_single_stripe_stream_runs_at_ost_bandwidth():
+    # one client streaming 64 MiB to one OST: only the per-RPC overhead
+    # separates the achieved rate from the configured ost_bandwidth
+    eng, fs = make_fs(ost_bandwidth=300e6, store_data=False,
+                      default_stripe_size=4 << 20)
+    out = {}
+
+    def prog():
+        f = yield from fs.open("stream", stripe_count=1)
+        t0 = eng.now
+        yield from fs.write(f, 0, [0], [64 << 20])
+        out["secs"] = eng.now - t0
+
+    run(eng, prog())
+    assert (64 << 20) / out["secs"] == pytest.approx(300e6, rel=0.2)
+
+
 def test_lock_revocation_charged_between_clients():
     eng, fs = make_fs()
     f_holder = {}

@@ -231,10 +231,9 @@ def test_hybrid_sync_macro_matches_detailed():
     assert det == hyb
 
 
-def test_sizethreshold_composes_with_macro_world():
-    # a sizethreshold world never calls macro, but a macro world must
-    # agree with detailed even when the workload straddles the eager
-    # threshold in both directions
+def test_macro_matches_detailed_across_eager_threshold():
+    # a macro world must agree with detailed even when the workload
+    # straddles the eager threshold in both directions
     def program(comm):
         a = yield from comm.allgather(comm.rank, nbytes=64)
         b = yield from comm.allgather(comm.rank, nbytes=1 << 16)

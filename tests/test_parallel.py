@@ -380,43 +380,6 @@ class TestFigureIntegration:
         assert serial.series == parallel.series
 
 
-class TestSweepExecutor:
-    def sweep(self, executor=None):
-        from repro.harness.sweep import Sweep
-
-        def task(ngroups):
-            hints = ({"protocol": "ext2ph"} if ngroups == 1 else
-                     {"protocol": "parcoll", "parcoll_ngroups": ngroups})
-            return tile_task(nprocs=16, **hints)
-
-        return Sweep("groups", task=task, executor=executor)
-
-    def test_batch_parallel_matches_serial(self, tmp_path):
-        values = [1, 2, 4, 8]
-        serial = self.sweep(ExperimentExecutor(jobs=1, cache=False))
-        parallel = self.sweep(
-            ExperimentExecutor(jobs=4, cache=RunCache(tmp_path)))
-        s_pts = serial.run(values)
-        p_pts = parallel.run(values)
-        assert [pt.write_mb_s for pt in s_pts] == \
-            [pt.write_mb_s for pt in p_pts]
-
-    def test_memoized_points_not_reevaluated(self, tmp_path):
-        ex = ExperimentExecutor(jobs=1, cache=RunCache(tmp_path))
-        sweep = self.sweep(ex)
-        sweep.run([1, 2])
-        misses = ex.cache.misses
-        pts = sweep.run([1, 2, 4])
-        assert ex.cache.misses == misses + 1  # only value 4 is new
-        assert [pt.value for pt in pts] == [1, 2, 4]
-
-    def test_sweep_requires_make_or_task(self):
-        from repro.harness.sweep import Sweep
-
-        with pytest.raises(ValueError):
-            Sweep("empty")
-
-
 class TestCLIFlags:
     def test_figure_with_jobs_and_no_cache(self, capsys):
         from repro.cli import main

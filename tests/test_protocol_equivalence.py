@@ -4,8 +4,8 @@ writes byte-identical files on every (disjoint) access pattern.
 Patterns come from the synthetic generator (the paper's Figure 4 families
 plus seeded random disjoint sets); protocols are independent I/O, the
 ext2ph baseline, ParColl with several group counts and both
-intermediate-view data paths, and the registry's rivals (node
-aggregation, list I/O).  Hypothesis drives sizes and seeds.
+intermediate-view data paths, and the registry's node aggregation.
+Hypothesis drives sizes and seeds.
 """
 
 import numpy as np
@@ -32,9 +32,6 @@ PROTOCOLS = [
      "parcoll_intermediate_views": False},
     {"protocol": "nodeagg"},
     {"protocol": "nodeagg", "parcoll_ngroups": 2},
-    {"protocol": "listio"},
-    {"protocol": "listio:4"},
-    {"protocol": "listio", "listio_max_segments": 2},
 ]
 
 

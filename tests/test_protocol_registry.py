@@ -4,8 +4,7 @@ Covers the registry seam itself (spec parsing, unknown-protocol errors,
 option handling), the per-file protocol symmetry ledger (rank-divergent
 hints fail loudly), the per-protocol shared-state slots (hint changes
 invalidate cached plans mid-file), and the platform-default threading
-(``MPIIO(default_hints=...)``, ``ExperimentConfig.protocol``,
-:func:`~repro.harness.sweep.protocol_sweep`).
+(``MPIIO(default_hints=...)``, ``ExperimentConfig.protocol``).
 """
 
 import numpy as np
@@ -18,7 +17,7 @@ from repro.mpiio.protocols import (CollectiveProtocol, available_protocols,
 from repro.workloads.base import deterministic_bytes
 from tests.conftest import Stack
 
-BUILTINS = {"ext2ph", "independent", "listio", "nodeagg", "parcoll"}
+BUILTINS = {"ext2ph", "independent", "nodeagg", "parcoll"}
 
 
 class TestRegistry:
@@ -47,20 +46,12 @@ class TestRegistry:
         with pytest.raises(ParCollError):
             resolve_protocol("ext2ph:whatever")
 
-    def test_listio_spec_options(self):
-        assert resolve_protocol("listio:16").describe() == "listio:16"
-        assert resolve_protocol("listio").describe() == "listio"
-        with pytest.raises(ParCollError):
-            resolve_protocol("listio:zero")
-        with pytest.raises(ParCollError):
-            resolve_protocol("listio:0")
-
     def test_hints_validate_against_registry(self):
         with pytest.raises(MPIIOError):
             IOHints(protocol="magic")
-        assert IOHints(protocol="listio:8").protocol == "listio:8"
+        assert IOHints(protocol="nodeagg").protocol == "nodeagg"
         with pytest.raises(MPIIOError):
-            IOHints(listio_max_segments=0)
+            IOHints(protocol="ext2ph:whatever")
 
 
 class TestSymmetryLedger:
@@ -193,7 +184,7 @@ class TestStateInvalidation:
                 comm, "keep", hints={"protocol": "parcoll",
                                      "parcoll_ngroups": 2})
             yield from self._tiled_write(f, comm, 0, 0)
-            f.set_hints(listio_max_segments=8)
+            f.set_hints(pipelined_io=True)
             yield from comm.barrier()
             if comm.rank == 0:
                 kept["cache"] = len(f.shared.parcoll_cache)
@@ -206,7 +197,7 @@ class TestStateInvalidation:
 class TestDefaultHints:
     def test_mpiio_default_hints_apply(self):
         st = Stack(nprocs=2)
-        st.io.default_hints = {"protocol": "listio"}
+        st.io.default_hints = {"protocol": "independent"}
         protos = {}
 
         def program(comm, io):
@@ -219,7 +210,7 @@ class TestDefaultHints:
             yield from g.close()
 
         st.run(program)
-        assert protos == {"default": "listio", "explicit": "ext2ph"}
+        assert protos == {"default": "independent", "explicit": "ext2ph"}
 
     def test_experiment_config_threads_protocol(self):
         from repro.harness.runner import ExperimentConfig
@@ -228,19 +219,3 @@ class TestDefaultHints:
                                            protocol="nodeagg").build()
         assert io.default_hints == {"protocol": "nodeagg"}
         assert isinstance(io, MPIIO)
-
-    def test_protocol_sweep_axis(self):
-        from repro.harness.runner import ExperimentConfig
-        from repro.harness.sweep import protocol_sweep
-        from repro.workloads import TileIOConfig
-
-        sweep = protocol_sweep(
-            "race", ExperimentConfig(nprocs=4),
-            "tile_io", TileIOConfig(tile_rows=16, tile_cols=8,
-                                    element_size=64))
-        points = sweep.run(["independent", "ext2ph"])
-        assert [pt.result.config.protocol for pt in points] == [
-            "independent", "ext2ph"]
-        assert all(pt.result.elapsed_total > 0 for pt in points)
-        # protocols genuinely differ: event counts diverge
-        assert points[0].result.events != points[1].result.events

@@ -207,6 +207,37 @@ def test_exchange_time_accounting():
     assert w.procs[2].breakdown.get("exchange") > 1e-3
 
 
+def test_pingpong_measures_configured_latency_and_bandwidth():
+    # two ranks on distinct nodes: a zero-byte one-way trip costs about
+    # the overheads plus the wire latency, and 1 MiB adds size/bandwidth
+    params = NetworkParams(latency=5e-6, bandwidth=2e9,
+                           send_overhead=1e-6, recv_overhead=1e-6)
+
+    def one_way(nbytes, reps=10):
+        w = World(MachineConfig(nprocs=2, cores_per_node=1),
+                  net_params=params)
+        out = {}
+
+        def program(comm):
+            peer = 1 - comm.rank
+            t0 = comm.now
+            for _ in range(reps):
+                if comm.rank == 0:
+                    yield from comm.send(Payload.model(nbytes), dest=peer)
+                    yield from comm.recv(source=peer)
+                else:
+                    yield from comm.recv(source=peer)
+                    yield from comm.send(Payload.model(nbytes), dest=peer)
+            out[comm.rank] = (comm.now - t0) / (2 * reps)
+
+        w.launch(program)
+        return out[0]
+
+    small, big = one_way(0), one_way(1 << 20)
+    assert small == pytest.approx(7e-6, rel=0.3)
+    assert (1 << 20) / (big - small) == pytest.approx(2e9, rel=0.3)
+
+
 def test_self_send_with_isend():
     w = make_world(nprocs=2)
     out = {}

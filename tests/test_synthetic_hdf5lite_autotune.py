@@ -1,11 +1,11 @@
-"""Synthetic pattern generator, hdf5lite container, autotuner."""
+"""Synthetic pattern generator and hdf5lite container."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, ParCollError
+from repro.datatypes.flatten import coalesce
+from repro.errors import ConfigError
 from repro.parcoll import plan_partition
-from repro.parcoll.autotune import recommend_groups
 from repro.workloads.base import deterministic_bytes
 from repro.workloads.hdf5lite import (DATASET_ALIGNMENT, DATASET_META_BYTES,
                                       HEADER_BYTES, Hdf5LiteWriter)
@@ -19,15 +19,18 @@ class TestSyntheticPatterns:
     @pytest.mark.parametrize("pattern", ["serial", "tiled", "interleaved",
                                          "random"])
     def test_patterns_are_disjoint_across_ranks(self, pattern):
-        from repro.analysis import check_coverage
-
         cfg = SyntheticConfig(pattern=pattern, nprocs=6,
                               bytes_per_rank=1536, piece_bytes=128, seed=7)
-        fts = [filetype_for(cfg, r) for r in range(6)]
-        disps = [rank_offsets_for_interleaved(cfg, r)
-                 if pattern == "interleaved" else 0 for r in range(6)]
-        rep = check_coverage(fts, disps=disps)
-        assert rep.disjoint, rep.summary()
+        offs, lens = [], []
+        for r in range(6):
+            o, l = filetype_for(cfg, r).segments()
+            disp = (rank_offsets_for_interleaved(cfg, r)
+                    if pattern == "interleaved" else 0)
+            offs.append(o + disp)
+            lens.append(l)
+        # disjoint exactly when the union loses no byte to an overlap
+        _, union_lens = coalesce(np.concatenate(offs), np.concatenate(lens))
+        assert int(union_lens.sum()) == sum(int(l.sum()) for l in lens)
 
     def test_serial_is_pattern_a(self):
         cfg = SyntheticConfig(pattern="serial", nprocs=4)
@@ -169,40 +172,3 @@ class TestHdf5Lite:
         # the shared metadata region got lock-thrashed
         assert st.fs.lookup("meta2").locks.revocations >= 3
 
-
-class TestAutotune:
-    def serial_extents(self, n, block):
-        return [(r * block, (r + 1) * block, block) for r in range(n)]
-
-    def test_empty_pattern_single_group(self):
-        assert recommend_groups([(-1, -1, 0)] * 8, 8, n_osts=8) == 1
-
-    def test_recommendation_is_power_of_two(self):
-        g = recommend_groups(self.serial_extents(64, 48 << 20), 64, n_osts=72)
-        assert g & (g - 1) == 0
-
-    def test_never_exceeds_nprocs_over_min_group(self):
-        g = recommend_groups(self.serial_extents(32, 1 << 20), 32,
-                             n_osts=72, min_group_size=4)
-        assert g <= 8
-
-    def test_small_files_stay_unpartitioned(self):
-        # a file much smaller than one stripe per OST
-        g = recommend_groups(self.serial_extents(64, 1024), 64, n_osts=72)
-        assert g == 1
-
-    def test_matches_swept_optimum_order_of_magnitude(self):
-        """Tile-IO at 64 procs: swept optimum was 4-8 groups."""
-        from repro.workloads.tile_io import TileIOConfig, tile_filetype
-
-        cfg = TileIOConfig(tile_rows=1024, tile_cols=768, element_size=64)
-        extents = []
-        for r in range(64):
-            o, l = tile_filetype(cfg, 64, r).segments()
-            extents.append((int(o[0]), int(o[-1] + l[-1]), int(l.sum())))
-        g = recommend_groups(extents, 64, n_osts=72)
-        assert 2 <= g <= 16
-
-    def test_invalid_nprocs(self):
-        with pytest.raises(ParCollError):
-            recommend_groups([], 0, n_osts=8)
