@@ -3,8 +3,9 @@
 Runs the same tile-IO collective-write experiment through the
 ``detailed``, ``analytic``, and ``hybrid`` backends at growing rank
 counts and records *host* wall-clock per run — the point of the cheaper
-backends is simulator speed, not simulated time.  Results land in
-``BENCH_backend_fastpath.json`` at the repo root.
+backends is simulator speed, not simulated time.  Results land in the
+stamped ``full`` entry of ``BENCH_backend_fastpath.json`` at the repo
+root.
 
 Run directly (not under pytest)::
 
@@ -17,13 +18,12 @@ records the largest rank count where all three backends completed.
 
 from __future__ import annotations
 
-import json
 import pathlib
-import platform
 import sys
 import time
 from functools import partial
 
+from _common import write_mode_result
 from repro.harness.runner import ExperimentConfig, run_experiment
 from repro.harness.report import mb_per_s
 from repro.workloads import TileIOConfig, tile_io_program
@@ -71,16 +71,14 @@ def main() -> int:
     ok = (top["analytic"]["wall_s"] < top["detailed"]["wall_s"]
           and top["hybrid"]["wall_s"] < top["detailed"]["wall_s"])
     out = {
-        "benchmark": "backend_fastpath",
         "workload": "tile-IO collective write, ext2ph, 256x192 tiles x64B",
-        "python": platform.python_version(),
         "budget_s": BUDGET_S,
         "top_nprocs": sweep[-1]["nprocs"],
         "fastpath_wins_at_top": ok,
         "sweep": sweep,
     }
-    OUT.write_text(json.dumps(out, indent=2) + "\n")
-    print(f"\nwrote {OUT}")
+    write_mode_result(OUT, "backend_fastpath", "full", out)
+    print(f"\nwrote the full entry of {OUT}")
     if not ok:
         print("FAIL: analytic/hybrid not faster than detailed at top rank "
               "count", file=sys.stderr)

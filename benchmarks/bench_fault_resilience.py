@@ -23,18 +23,17 @@ Run directly (not under pytest)::
 
     PYTHONPATH=src python benchmarks/bench_fault_resilience.py
 
-Results land in ``BENCH_fault_resilience.json`` at the repo root; exit
-status 1 if either claim fails.
+Results land in the stamped ``full`` entry of
+``BENCH_fault_resilience.json`` at the repo root; exit status 1 if either
+claim fails.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
-import platform
 import sys
 
-from _common import executor, scale
+from _common import executor, scale, write_mode_result
 
 from repro.errors import FaultExhaustedError
 from repro.harness.fault_sweep import (_median, fault_class, fault_sweep,
@@ -140,15 +139,13 @@ def main() -> int:
     ok = (flaky["claim_retry_recovers_throughput"]
           and straggler["claim_parcoll_contains_straggler"])
     out = {
-        "benchmark": "fault_resilience",
-        "python": platform.python_version(),
         "scale": scale(),
         "flaky": flaky,
         "straggler": straggler,
         "claims_ok": ok,
     }
-    OUT.write_text(json.dumps(out, indent=2) + "\n")
-    print(f"\nwrote {OUT}")
+    write_mode_result(OUT, "fault_resilience", "full", out)
+    print(f"\nwrote the full entry of {OUT}")
     if not ok:
         print("FAIL: a resilience claim did not hold", file=sys.stderr)
         return 1

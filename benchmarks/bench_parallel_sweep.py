@@ -11,11 +11,11 @@ two ParColl group-count candidates per process count) three ways:
   re-assembly / CI-re-run case: every point is a cache hit).
 
 All three must produce bit-identical metrics (asserted), since every
-point is a deterministic simulation.  Results land in
-``BENCH_parallel_sweep.json`` at the repo root, including the host's CPU
-count — process-pool speedup is bounded by physical parallelism, so a
-single-core container reports ~1x for ``parallel`` while ``warm`` stays
-~free everywhere.
+point is a deterministic simulation.  Results land in the stamped
+``full`` entry of ``BENCH_parallel_sweep.json`` at the repo root, whose
+stamp includes the host's CPU count — process-pool speedup is bounded by
+physical parallelism, so a single-core container reports ~1x for
+``parallel`` while ``warm`` stays ~free everywhere.
 
 Run directly (not under pytest)::
 
@@ -24,14 +24,13 @@ Run directly (not under pytest)::
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
-import platform
 import sys
 import tempfile
 import time
 
+from _common import write_mode_result
 from repro.harness.parallel import (ExperimentExecutor, ExperimentTask,
                                     RunCache)
 from repro.harness.report import mb_per_s
@@ -102,11 +101,8 @@ def main() -> int:
     speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
     cache_speedup = serial_s / warm_s if warm_s > 0 else float("inf")
     out = {
-        "benchmark": "parallel_sweep",
         "workload": "fig-9-style tile-IO sweep: ext2ph + 2 ParColl "
                     "candidates per process count",
-        "python": platform.python_version(),
-        "host_cpus": cpus,
         "jobs": JOBS,
         "points": len(tasks),
         "procs": list(PROCS),
@@ -119,12 +115,12 @@ def main() -> int:
         "bit_identical_across_modes": identical,
         "sim_write_mb_s": [round(mb_per_s(r.write_bandwidth), 1)
                            for r in ref],
-        "note": ("process-pool speedup is bounded by host_cpus; the "
+        "note": ("process-pool speedup is bounded by cpus; the "
                  "warm-cache path is hardware-independent"),
     }
-    OUT.write_text(json.dumps(out, indent=2) + "\n")
+    write_mode_result(OUT, "parallel_sweep", "full", out)
     print(f"\nparallel {speedup:.2f}x, warm cache {cache_speedup:.0f}x "
-          f"vs cold serial; wrote {OUT}")
+          f"vs cold serial; wrote the full entry of {OUT}")
     return 0 if identical else 1
 
 

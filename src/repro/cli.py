@@ -24,8 +24,9 @@ environment variables set the defaults (see
 :mod:`repro.harness.parallel`).
 
 ``--collective-mode`` selects the collective-fidelity backend
-('analytic', 'detailed', or 'hybrid[:<cat>=<fidelity>,...]') for the
-figures whose sweeps support it; see :mod:`repro.simmpi.backends`.
+('analytic', 'detailed', 'macro', 'hybrid[:<cat>=<fidelity>,...]' or
+'scoped[:world=<fidelity>,default=<fidelity>]') for the figures whose
+sweeps support it; see :mod:`repro.simmpi.backends`.
 
 ``--validate`` runs every experiment point under the
 :mod:`repro.validate` correctness oracle (``REPRO_VALIDATE=1`` sets the
@@ -245,7 +246,8 @@ def main(argv: list[str] | None = None) -> int:
                        help="also render a terminal chart of the series")
     p_fig.add_argument("--collective-mode", default=None, metavar="SPEC",
                        help="collective-fidelity backend for the sweep "
-                            "(analytic, detailed, hybrid[:<spec>])")
+                            "(analytic, detailed, macro, hybrid[:<spec>], "
+                            "scoped[:<spec>])")
     _add_parallel_flags(p_fig)
 
     p_all = sub.add_parser("figures", help="regenerate every figure")
@@ -345,20 +347,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "perf":
         return _run_perf(args)
     if args.command == "backends":
-        from repro.simmpi.backends import (available_backends,
-                                           resolve_backend)
+        from repro.simmpi.backends import BACKEND_NAMES, resolve_backend
 
-        for name in available_backends():
+        for name in BACKEND_NAMES:
             print(f"{name:>10}: {resolve_backend(name).describe()}")
         return 0
     if args.command == "protocols":
-        from repro.mpiio.protocols import (available_protocols,
-                                           resolve_protocol)
+        from repro.mpiio.file import PROTOCOLS
 
-        for name in available_protocols():
-            proto = resolve_protocol(name)
-            doc = (type(proto).__doc__ or "").strip().splitlines()[0]
-            print(f"{name:>12}: {doc}")
+        for name in PROTOCOLS:
+            print(name)
         return 0
     if args.command == "cache":
         from repro.harness.parallel import RunCache

@@ -53,9 +53,6 @@ class NetworkParams:
         if self.eager_threshold < 0:
             raise ConfigError("eager_threshold must be >= 0")
 
-    def memcpy_time(self, nbytes: int) -> float:
-        return nbytes / self.memcpy_bandwidth
-
 
 class NetworkModel:
     """Owns the per-node NIC resources and computes message timings."""
@@ -214,8 +211,3 @@ class NetworkModel:
                     first_bytes[sel], rsizes[sel])
                 arrivals[idx[sel]] = arr
         return frees, arrivals
-
-    def point_to_point_time(self, nbytes: int) -> float:
-        """Uncontended one-way message time (used by analytic collectives)."""
-        p = self.params
-        return p.send_overhead + p.latency + p.recv_overhead + nbytes / p.bandwidth

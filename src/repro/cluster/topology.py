@@ -62,15 +62,6 @@ class Torus3D:
     def diameter(self) -> int:
         return sum(d // 2 for d in self.dims)
 
-    def average_hops_estimate(self) -> float:
-        """Expected hop count between uniform random node pairs (exact per axis)."""
-        total = 0.0
-        for d in self.dims:
-            # mean wrap-around distance on a ring of size d
-            dists = [min(k, d - k) for k in range(d)]
-            total += sum(dists) / d
-        return total
-
     def to_networkx(self):  # pragma: no cover - exercised in tests only
         """Build the torus as a networkx graph (for validation)."""
         import networkx as nx

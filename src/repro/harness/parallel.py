@@ -73,7 +73,7 @@ def register_workload(name: str, program_fn: Callable) -> None:
 
 def workload_factory(name: str) -> Callable:
     """Resolve a registered workload-factory name."""
-    _ensure_builtins()
+    _register_builtins()
     fn = _WORKLOADS.get(name)
     if fn is None:
         raise ConfigError(
@@ -84,11 +84,11 @@ def workload_factory(name: str) -> Callable:
 
 
 def available_workloads() -> tuple[str, ...]:
-    _ensure_builtins()
+    _register_builtins()
     return tuple(sorted(_WORKLOADS))
 
 
-def _ensure_builtins() -> None:
+def _register_builtins() -> None:
     """Register the paper's workload programs on first use.
 
     Done lazily (not at import) so ``repro.harness`` does not pull every

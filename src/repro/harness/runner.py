@@ -42,9 +42,10 @@ class ExperimentConfig:
     cores_per_node: int = 2
     mapping: str = "block"
     collective_mode: str = "analytic"
-    #: collective-I/O protocol spec (:mod:`repro.mpiio.protocols`) used as
-    #: the platform-wide default for files opened without an explicit
-    #: ``protocol`` hint; None keeps the library default ('ext2ph')
+    #: collective-I/O protocol (a name in :data:`repro.mpiio.PROTOCOLS`)
+    #: used as the platform-wide default for files opened without an
+    #: explicit ``protocol`` hint; None keeps the library default
+    #: ('ext2ph')
     protocol: Optional[str] = None
     use_torus: bool = False
     net: dict = field(default_factory=dict)
@@ -140,19 +141,12 @@ class RunResult:
         return nbytes / secs if secs > 0 else 0.0
 
     @property
-    def write_elapsed(self) -> float:
-        return self._phase("write_times")[1]
-
-    @property
     def io_phase_bandwidth(self) -> float:
         """Bandwidth over summed I/O-operation time (excludes compute
         phases between operations; slowest rank governs)."""
         total = sum(s.bytes_written + s.bytes_read for s in self.per_rank)
         worst = max((s.io_seconds for s in self.per_rank), default=0.0)
         return total / worst if worst > 0 else 0.0
-
-    def sync_time(self, stat: str = "max") -> float:
-        return self.breakdown.get("sync", {}).get(stat, 0.0)
 
     def category_share(self, category: str) -> float:
         """Fraction of the summed accounted time in one category."""

@@ -13,9 +13,9 @@ This is the open-source MPI-IO implementation the paper layers ParColl on
   ('sync' for collective coordination, 'exchange' for point-to-point
   data movement, 'io' for file reads/writes);
 * user hints (``cb_buffer_size``, ``cb_nodes``, ParColl controls);
-* the :mod:`repro.mpiio.protocols` registry, which makes collective
-  strategies (``ext2ph``, ``parcoll``, ``independent``, ``nodeagg``)
-  first-class plugins selected by the ``protocol`` hint.
+* the collective protocols (``ext2ph``, ``independent``, ``nodeagg``,
+  ``parcoll``) the ``protocol`` hint selects from
+  :data:`~repro.mpiio.file.PROTOCOLS`.
 
 Running ext2ph on ``COMM_WORLD`` is the paper's baseline ("Cray"
 equivalent); :mod:`repro.parcoll` reuses the same engine per subgroup.
@@ -23,9 +23,6 @@ equivalent); :mod:`repro.parcoll` reuses the same engine per subgroup.
 
 from repro.mpiio.fileview import FileView
 from repro.mpiio.hints import IOHints
-from repro.mpiio.file import MPIIO, MPIFile
-from repro.mpiio.protocols import (CollectiveProtocol, available_protocols,
-                                   register_protocol, resolve_protocol)
+from repro.mpiio.file import MPIIO, PROTOCOLS, MPIFile
 
-__all__ = ["FileView", "IOHints", "MPIIO", "MPIFile", "CollectiveProtocol",
-           "available_protocols", "register_protocol", "resolve_protocol"]
+__all__ = ["FileView", "IOHints", "MPIIO", "MPIFile", "PROTOCOLS"]

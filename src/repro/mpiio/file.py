@@ -6,14 +6,14 @@ offsets are in *etype units* (MPI semantics); data buffers are dense
 ``uint8`` arrays matching the view's data order, or ``None`` with an
 explicit ``nbytes`` in model mode.
 
-``*_all`` operations resolve the ``protocol`` hint through the
-:mod:`repro.mpiio.protocols` registry and delegate — the file layer holds
-no strategy logic of its own.  Builtins: ``ext2ph`` (the paper's
-baseline), ``parcoll`` (partitioned collective I/O), ``independent``
-(the paper's "w/o Coll" configuration) and ``nodeagg`` (intra-node
-request aggregation).  All ranks of one collective call must resolve the
-same protocol; divergence raises :class:`~repro.errors.ParCollError`
-(the same symmetry contract the collective backends enforce).
+``*_all`` operations look the ``protocol`` hint up in :data:`PROTOCOLS`
+and delegate — the file layer holds no strategy logic of its own:
+``ext2ph`` (the paper's baseline), ``independent`` (the paper's "w/o
+Coll" configuration), ``nodeagg`` (intra-node request aggregation) and
+``parcoll`` (partitioned collective I/O).  All ranks of one collective
+call must use the same protocol; divergence raises
+:class:`~repro.errors.ParCollError` (the same symmetry contract the
+collective backends enforce).
 
 On close, every rank's per-category times since open are gathered to rank
 0 — the run summary the paper's profiling reports at file close.
@@ -21,7 +21,7 @@ On close, every rank's per-category times since open are gathered to rank
 
 from __future__ import annotations
 
-from typing import Any, Generator, Mapping, Optional
+from typing import Any, Callable, Generator, Mapping, Optional
 
 import numpy as np
 
@@ -31,9 +31,47 @@ from repro.lustre.fs import LustreFS
 from repro.mpiio.fileview import FileView
 from repro.mpiio.hints import IOHints
 from repro.mpiio.independent import independent_read, independent_write
-from repro.mpiio.protocols import available_protocols, resolve_protocol
-from repro.mpiio.two_phase import IOEnv
+from repro.mpiio.nodeagg import nodeagg_read, nodeagg_write
+from repro.mpiio.two_phase import IOEnv, collective_read, collective_write
 from repro.simmpi.world import Communicator, World
+
+
+def _parcoll_write(env, segs, data, state, view):
+    # imported on first use: repro.parcoll itself imports repro.mpiio
+    from repro.parcoll.driver import parcoll_write
+
+    return parcoll_write(env, segs, data, state, view)
+
+
+def _parcoll_read(env, segs, state, view):
+    from repro.parcoll.driver import parcoll_read
+
+    return parcoll_read(env, segs, state, view)
+
+
+#: the ``protocol`` hint's values -> ``(write, read)``: generator
+#: functions ``write(env, segs, data, state, view)`` (returns the bytes
+#: this rank wrote) and ``read(env, segs, state, view)`` (returns dense
+#: bytes, None in model mode) that every rank of the communicator runs.
+#: ``state`` is the protocol's slot of the shared file handle.
+PROTOCOLS: dict[str, tuple[Callable, Callable]] = {
+    # the paper's baseline: extended two-phase over the whole communicator
+    "ext2ph": (lambda env, segs, data, state, view:
+               collective_write(env, segs, data),
+               lambda env, segs, state, view: collective_read(env, segs)),
+    # the paper's "w/o Coll": every rank issues its own file operations
+    "independent": (lambda env, segs, data, state, view:
+                    independent_write(env, segs, data),
+                    lambda env, segs, state, view:
+                    independent_read(env, segs)),
+    # cores funnel their requests to a node leader (Kang et al.)
+    "nodeagg": (lambda env, segs, data, state, view:
+                nodeagg_write(env, segs, data, state),
+                lambda env, segs, state, view:
+                nodeagg_read(env, segs, state)),
+    # the paper's partitioned collective I/O
+    "parcoll": (_parcoll_write, _parcoll_read),
+}
 
 #: hints whose change invalidates cached per-protocol shared state:
 #: the protocol itself, plus everything a cached grouping / aggregator
@@ -150,7 +188,6 @@ class MPIFile:
         self.shared = shared
         self.hints = hints
         self.comm = self._hinted_comm()
-        self._protocol = resolve_protocol(hints.protocol)
         self.view = FileView(0, BYTE, BYTE)
         self._fp = 0  # individual file pointer, in etype units
         self._coll_seq = 0  # collective-op counter (protocol symmetry)
@@ -214,7 +251,6 @@ class MPIFile:
             self.comm = self._hinted_comm()
         if "parcoll_validate" in kwargs:
             self._validator = self.io._hint_validator(self.hints)
-        self._protocol = resolve_protocol(self.hints.protocol)
         if any(getattr(old, h) != getattr(self.hints, h)
                for h in _STATE_HINTS):
             self.shared.invalidate_state()
@@ -224,34 +260,34 @@ class MPIFile:
         self.set_hints(**dict(info))
 
     def _dispatch(self):
-        """The (protocol, shared-state slot) for one collective op.
+        """The protocol's ``(write, read)`` pair and its shared-state
+        slot for one collective op.
 
         Mirrors the backend fidelity-symmetry check: each rank logs the
-        protocol it resolved for its n-th collective op in a shared
-        ledger; the first divergence raises :class:`ParCollError` on the
-        rank that exposes it.  Entries clear once every rank arrived, so
-        the ledger stays O(in-flight ops).
+        protocol it uses for its n-th collective op in a shared ledger;
+        the first divergence raises :class:`ParCollError` on the rank
+        that exposes it.  Entries clear once every rank arrived, so the
+        ledger stays O(in-flight ops).
         """
-        proto = self._protocol
-        spec = proto.describe()
+        name = self.hints.protocol
         ledger = self.shared.protocol_ops
         self._coll_seq += 1
         entry = ledger.get(self._coll_seq)
         if entry is None:
-            entry = [spec, self.comm.rank, 0]
+            entry = [name, self.comm.rank, 0]
             ledger[self._coll_seq] = entry
-        elif entry[0] != spec:
+        elif entry[0] != name:
             raise ParCollError(
                 f"collective protocol mismatch on {self.lfile.name!r} "
                 f"op #{self._coll_seq}: rank {self.comm.rank} uses "
-                f"{spec!r} but rank {entry[1]} used {entry[0]!r}; all "
-                f"ranks must resolve the same protocol (registered: "
-                f"{', '.join(available_protocols())})"
+                f"{name!r} but rank {entry[1]} used {entry[0]!r}; all "
+                f"ranks must use the same protocol (one of "
+                f"{', '.join(PROTOCOLS)})"
             )
         entry[2] += 1
         if entry[2] == self.comm.size:
             del ledger[self._coll_seq]
-        return proto, self.shared.state_for(proto.name)
+        return PROTOCOLS[name], self.shared.state_for(name)
 
     def _check_open(self) -> None:
         if self._closed:
@@ -295,9 +331,8 @@ class MPIFile:
         env = self._env()
         if self._validator is not None:
             self._validator.record_write(self.lfile, segs, payload)
-        proto, state = self._dispatch()
-        written = yield from proto.write_all(env, segs, payload, state,
-                                             self.view)
+        (write, _read), state = self._dispatch()
+        written = yield from write(env, segs, payload, state, self.view)
         if self._validator is not None:
             self._validator.after_collective_write(self.lfile, self.comm.size)
         return written
@@ -308,8 +343,8 @@ class MPIFile:
         self._check_open()
         segs = self._access(offset_et, nbytes)
         env = self._env()
-        proto, state = self._dispatch()
-        out = yield from proto.read_all(env, segs, state, self.view)
+        (_write, read), state = self._dispatch()
+        out = yield from read(env, segs, state, self.view)
         if self._validator is not None:
             self._validator.check_read(self.lfile, segs, out)
         return out

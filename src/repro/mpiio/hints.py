@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
-from repro.errors import MPIError, MPIIOError, ParCollError
+from repro.errors import MPIError, MPIIOError
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,9 @@ class IOHints:
     cb_nodes: Optional[int] = None
     #: explicit aggregator ranks (communicator ranks); overrides cb_nodes
     cb_config_ranks: Optional[tuple[int, ...]] = None
-    #: collective protocol used by *_all operations; any spec registered
-    #: in :mod:`repro.mpiio.protocols` ('ext2ph', 'parcoll',
-    #: 'independent', 'nodeagg')
+    #: collective protocol used by *_all operations: a name in
+    #: :data:`repro.mpiio.file.PROTOCOLS` ('ext2ph', 'independent',
+    #: 'nodeagg', 'parcoll')
     protocol: str = "ext2ph"
     #: ParColl: number of subgroups (file areas); 1 degenerates to ext2ph
     parcoll_ngroups: int = 1
@@ -58,10 +58,11 @@ class IOHints:
     #: work [13], realized with background tasks instead of threads —
     #: Catamount has none, which is why the paper could not use it)
     pipelined_io: bool = False
-    #: collective-fidelity backend for this file's collectives
-    #: ('analytic', 'detailed', 'hybrid[:<spec>]'); None inherits the
-    #: world's backend.  Every rank opens with the same hints, so the
-    #: override is installed symmetrically.
+    #: collective-fidelity backend spec for this file's collectives
+    #: ('analytic', 'detailed', 'macro', 'hybrid[:<spec>]',
+    #: 'scoped[:<spec>]'; see :mod:`repro.simmpi.backends`); None
+    #: inherits the world's backend.  Every rank opens with the same
+    #: hints, so the override is installed symmetrically.
     collective_mode: Optional[str] = None
     #: run the :mod:`repro.validate` correctness oracle on this file's
     #: operations: True forces validation on, False forces it off, None
@@ -91,12 +92,12 @@ class IOHints:
                 raise MPIIOError(str(exc)) from exc
         if self.cb_nodes is not None and self.cb_nodes <= 0:
             raise MPIIOError("cb_nodes must be positive")
-        from repro.mpiio.protocols import resolve_protocol
+        from repro.mpiio.file import PROTOCOLS
 
-        try:
-            resolve_protocol(self.protocol)
-        except ParCollError as exc:
-            raise MPIIOError(str(exc)) from exc
+        if not isinstance(self.protocol, str) or self.protocol not in PROTOCOLS:
+            raise MPIIOError(
+                f"unknown collective protocol {self.protocol!r}; protocols: "
+                f"{', '.join(PROTOCOLS)}")
         if self.parcoll_ngroups <= 0:
             raise MPIIOError("parcoll_ngroups must be positive")
         if self.parcoll_data_path not in ("physical", "logical"):

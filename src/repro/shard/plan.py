@@ -27,10 +27,11 @@ The contract:
 * a shard's rank range covers whole nodes (``cores_per_node`` divides
   the ranks per shard), so NIC/CPU :class:`FIFOResource` state is never
   shared across shards;
-* world-spanning collectives run at the ``analytic`` fidelity (the
-  ``analytic`` backend, or ``scoped:`` with ``world=analytic``), because
-  only analytic synchronization sites can be bridged across engines by
-  merging (value, arrival) sets — per-message detailed traffic cannot;
+* every world-spanning collective runs at the ``analytic`` fidelity
+  (e.g. the ``analytic`` backend, ``scoped`` with ``world=analytic``, or
+  ``hybrid:default=analytic``), because only analytic synchronization
+  sites can be bridged across engines by merging (value, arrival) sets —
+  per-message detailed traffic cannot;
 * no torus topology: torus links are machine-global resources with no
   per-shard ownership.
 
@@ -45,6 +46,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
+
+from repro.simmpi.backends import resolve_backend
 
 
 @dataclass(frozen=True)
@@ -93,25 +96,16 @@ def workload_hints_of(program: Any) -> Mapping[str, Any]:
     return {}
 
 
-def _world_fidelity_is_analytic(mode: str) -> bool:
-    """True when world-spanning collectives resolve to 'analytic'."""
-    if mode == "analytic":
-        return True
-    if mode.startswith("scoped:"):
-        parts = dict(
-            kv.split("=", 1) for kv in mode[len("scoped:"):].split(",") if kv
-        )
-        return parts.get("world") == "analytic"
-    return False
-
-
 def analyze(config: Any, workload_hints: Optional[Mapping[str, Any]] = None
             ) -> ShardPlan:
-    """Decide whether ``config`` can run sharded; never raises.
+    """Decide whether ``config`` can run sharded.
 
     ``workload_hints`` are the hints the workload will open its files
     with (see :func:`workload_hints_of`); the platform-default protocol
-    from ``config.protocol`` applies when the hints name none.
+    from ``config.protocol`` applies when the hints name none.  The
+    conditions are checked in order and the first violated one names the
+    fallback; a malformed ``config.collective_mode`` raises
+    :class:`~repro.errors.MPIError` instead.
     """
     hints = dict(workload_hints or {})
     shards = int(getattr(config, "shards", 1) or 1)
@@ -150,11 +144,13 @@ def analyze(config: Any, workload_hints: Optional[Mapping[str, Any]] = None
             f"shard, {config.cores_per_node} cores per node)")
     if config.use_torus:
         return fallback("torus links are machine-global resources")
-    if not _world_fidelity_is_analytic(config.collective_mode):
+    world = resolve_backend(config.collective_mode).world_fidelities()
+    if world != {"analytic"}:
         return fallback(
             f"collective_mode {config.collective_mode!r} runs "
-            "world-spanning collectives per-message; bridging needs "
-            "'analytic' or 'scoped:world=analytic,...'")
+            f"world-spanning collectives {'/'.join(sorted(world))}; "
+            "bridging needs them all 'analytic' (e.g. 'analytic' or "
+            "'scoped:world=analytic,...')")
     return ShardPlan(shards=shards, effective=shards,
                      groups_per_shard=ngroups // shards,
                      ranks_per_shard=ranks_per_shard)

@@ -284,9 +284,6 @@ class Engine:
         """Run ``fn`` at virtual time ``t`` (>= now)."""
         self._sched(t, _K_FN, fn, None)
 
-    def call_later(self, dt: float, fn: Callable[[], None]) -> None:
-        self._sched(self.now + dt, _K_FN, fn, None)
-
     def spawn(self, gen: Generator[Any, Any, Any], name: Any = None) -> Task:
         """Register ``gen`` as a task and schedule its first step now.
 
@@ -302,10 +299,6 @@ class Engine:
         self.heap_bypasses += 1
         self._ready.append((_K_STEP, task, None))
         return task
-
-    def _resume_soon(self, task: Task, value: Any) -> None:
-        self.heap_bypasses += 1
-        self._ready.append((_K_STEP, task, value))
 
     def schedule_batch(self, entries: list[tuple[float, Callable[[Any], None], Any]]) -> None:
         """Schedule N ``(t, fn, arg)`` completions through one rolling entry.

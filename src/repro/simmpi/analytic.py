@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 
 from repro.cluster.network import NetworkParams
-from repro.simmpi.backends import _LeafBackend, register_backend
 
 
 def _olg(params: NetworkParams) -> tuple[float, float, float]:
@@ -103,12 +102,3 @@ def scan_cost(params: NetworkParams, p: int, nbytes: int) -> float:
     """Recursive-doubling inclusive scan."""
     o, lat, g = _olg(params)
     return log2ceil(p) * (o + lat + nbytes * g)
-
-
-class AnalyticBackend(_LeafBackend):
-    """Every collective is a LogP synchronization site (no messages)."""
-
-    name = "analytic"
-
-
-register_backend(AnalyticBackend.name, AnalyticBackend.from_spec, leaf=True)

@@ -1,19 +1,16 @@
-"""Pluggable collective-fidelity backends.
+"""Collective-fidelity backends.
 
 A :class:`CollectiveBackend` decides, per collective invocation, which
-execution path runs: the ``analytic`` LogP site model (cheap — one
-synchronization event per collective) or the ``detailed`` message-schedule
-model (faithful — every tree/ring/pairwise message is simulated).  The
-``hybrid`` backend picks a fidelity *per collective category* (the same
-'sync' / 'exchange' / 'io' labels the time breakdown uses), so a sweep can
-run its synchronization collectives analytically while anything it cares
-about stays detailed — the per-phase cost separation ParColl's ext2ph
-breakdown is built on.
-
-Implementations register themselves here (see
-:mod:`repro.simmpi.analytic` and
-:mod:`repro.simmpi.collectives_detailed`); call sites resolve them by
-spec string only:
+execution path runs: the ``analytic`` LogP site model
+(:mod:`repro.simmpi.analytic` — one synchronization event per
+collective), the ``detailed`` message schedule
+(:mod:`repro.simmpi.collectives_detailed` — every tree/ring/pairwise
+message is simulated), or the ``macro`` closed-form replay of that
+schedule (:mod:`repro.simmpi.collectives_macro`).  A backend picks the
+fidelity from the collective's time-accounting category (the same
+'sync' / 'exchange' / 'io' labels the time breakdown uses) and, for
+``scoped``, from whether it runs on the world communicator.
+:func:`resolve_backend` builds one from a spec string:
 
 ``"analytic"``
     every collective uses the LogP site model;
@@ -22,16 +19,20 @@ spec string only:
 ``"macro"``
     the synchronizing collectives replay their detailed message schedule
     in closed form (bit-identical virtual time, far fewer events); the
-    rest run detailed (:mod:`repro.simmpi.collectives_macro`);
+    rest run detailed;
 ``"hybrid"``
     per-category selection with the default table
     ``sync=analytic``, everything else ``detailed``;
 ``"hybrid:sync=analytic,exchange=detailed,io=detailed"``
     explicit per-category table; a ``default=<fidelity>`` entry sets the
-    fidelity of categories not listed;
+    fidelity of categories not listed (``detailed`` if omitted);
 ``"scoped:world=analytic,default=macro"``
-    one fidelity for collectives on the world communicator, another for
-    collectives on derived communicators (see :class:`ScopedBackend`).
+    one fidelity for collectives on the world communicator (context 0 —
+    the global barriers, extent allgathers and splits every rank joins),
+    another for collectives on derived communicators (FA subgroups, node
+    groups); ``"scoped"`` alone means exactly this table.  With world
+    collectives analytic, the sharded engine bridges shards by merging
+    timestamps (see :mod:`repro.shard.plan`).
 
 All ranks must run any given collective through the same fidelity — a
 backend is world-global or installed symmetrically on every rank's handle
@@ -41,76 +42,77 @@ like the MPI requirement that collectives match across ranks.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from repro.errors import MPIError
 
+#: the execution paths a collective can take
+FIDELITIES = ("analytic", "detailed", "macro")
+#: every name a backend spec can start with
+BACKEND_NAMES = ("analytic", "detailed", "hybrid", "macro", "scoped")
+
+_ENTRY_FORM = {"hybrid": "hybrid:<category>=<fidelity>,...",
+               "scoped": "scoped:world=<fidelity>,default=<fidelity>"}
+
 
 class CollectiveBackend:
-    """Chooses the execution fidelity of each collective invocation."""
+    """Chooses the execution fidelity of each collective invocation.
 
-    #: registry name of this backend (set by subclasses)
-    name: str = "?"
+    ``table`` maps categories to fidelities and ``default`` covers the
+    categories it does not list; ``world``, when set, overrides both for
+    collectives on the world communicator.  ``name`` is the spec's
+    backend name.  Build backends with :func:`resolve_backend`, which
+    checks every fidelity.
+    """
+
+    __slots__ = ("name", "table", "default", "world")
+
+    def __init__(self, name: str, table: dict[str, str], default: str,
+                 world: Optional[str] = None):
+        self.name = name
+        self.table = table
+        self.default = default
+        self.world = world
 
     def fidelity(self, category: str, comm=None) -> str:
-        """Leaf fidelity ('analytic', 'detailed' or 'macro') for one
+        """The fidelity ('analytic', 'detailed' or 'macro') of one
         collective.
 
         ``category`` is the time-accounting category the call site charges
         the collective to ('sync', 'exchange', 'io', ...).  ``comm`` is the
-        issuing communicator (or None when the caller has none to name) —
-        scope backends dispatch on its (rank-symmetric) identity, e.g.
-        world versus derived subgroup.  Implementations must return the
-        same fidelity on every rank for one collective — dispatch only on
-        these (rank-symmetric) arguments.
+        issuing communicator; call sites that cannot name it (None) take
+        the table path.  Both arguments are the same on every rank of one
+        collective, so every rank selects the same fidelity.
         """
-        raise NotImplementedError
+        if self.world is not None and comm is not None and comm.desc.ctx == 0:
+            return self.world
+        return self.table.get(category, self.default)
+
+    def world_fidelities(self) -> set[str]:
+        """Every fidelity a collective on the world communicator can take."""
+        if self.world is not None:
+            return {self.world}
+        return {*self.table.values(), self.default}
 
     def describe(self) -> str:
         """Canonical spec string that reconstructs this backend."""
+        if self.name == "scoped":
+            return f"scoped:world={self.world},default={self.default}"
+        if self.name == "hybrid":
+            parts = [f"{c}={f}" for c, f in sorted(self.table.items())]
+            parts.append(f"default={self.default}")
+            return f"hybrid:{','.join(parts)}"
         return self.name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.describe()!r}>"
-
-
-#: name -> factory(option string after ':') -> backend instance
-_REGISTRY: dict[str, Callable[[str], CollectiveBackend]] = {}
-#: leaf fidelity names usable as hybrid per-category targets
-_LEAF_FIDELITIES: set[str] = set()
-
-
-def register_backend(name: str, factory: Callable[[str], CollectiveBackend],
-                     leaf: bool = False) -> None:
-    """Register a backend factory under ``name``.
-
-    ``leaf`` marks the backend as a terminal fidelity that composite
-    backends (hybrid) may select per category.
-    """
-    _REGISTRY[name] = factory
-    if leaf:
-        _LEAF_FIDELITIES.add(name)
-
-
-def _ensure_builtins() -> None:
-    """Import the fidelity modules so their registrations run."""
-    import repro.simmpi.analytic  # noqa: F401  (registers 'analytic')
-    import repro.simmpi.collectives_detailed  # noqa: F401  ('detailed')
-    import repro.simmpi.collectives_macro  # noqa: F401  ('macro')
-
-
-def available_backends() -> tuple[str, ...]:
-    _ensure_builtins()
-    return tuple(sorted(_REGISTRY))
-
-
-def leaf_fidelities() -> tuple[str, ...]:
-    _ensure_builtins()
-    return tuple(sorted(_LEAF_FIDELITIES))
+        return f"<CollectiveBackend {self.describe()!r}>"
 
 
 def resolve_backend(spec: Union[str, CollectiveBackend]) -> CollectiveBackend:
-    """Turn a spec string (or a ready backend) into a backend instance."""
+    """Turn a spec string (or a ready backend) into a backend instance.
+
+    Any malformed spec raises :class:`~repro.errors.MPIError`.
+    """
     if isinstance(spec, CollectiveBackend):
         return spec
     if not isinstance(spec, str):
@@ -118,154 +120,38 @@ def resolve_backend(spec: Union[str, CollectiveBackend]) -> CollectiveBackend:
             f"collective backend spec must be a string or a "
             f"CollectiveBackend, got {type(spec).__name__}"
         )
-    _ensure_builtins()
     name, _, options = spec.partition(":")
-    factory = _REGISTRY.get(name)
-    if factory is None:
+    if name not in BACKEND_NAMES:
         raise MPIError(
-            f"unknown collective backend {name!r}; registered backends: "
-            f"{', '.join(available_backends())}"
+            f"unknown collective backend {name!r}; backends: "
+            f"{', '.join(BACKEND_NAMES)}"
         )
-    return factory(options)
-
-
-def _reject_options(name: str, options: str) -> None:
-    if options:
-        raise MPIError(
-            f"collective backend {name!r} takes no options, "
-            f"got {options!r}"
-        )
-
-
-class _LeafBackend(CollectiveBackend):
-    """A single-fidelity backend: every category runs the same path."""
-
-    def fidelity(self, category: str, comm=None) -> str:
-        return self.name
-
-    @classmethod
-    def from_spec(cls, options: str) -> "_LeafBackend":
-        _reject_options(cls.name, options)
-        return cls()
-
-
-class HybridBackend(CollectiveBackend):
-    """Per-category fidelity selection.
-
-    ``table`` maps category names to leaf fidelities; ``default`` covers
-    categories not in the table.  The default configuration —
-    ``sync`` analytic, everything else detailed — targets the common
-    large-sweep shape: the per-round count exchanges and barriers that
-    form the collective wall are modeled analytically, while collectives
-    a workload explicitly charges elsewhere keep full message fidelity.
-    """
-
-    name = "hybrid"
-    DEFAULT_TABLE = {"sync": "analytic"}
-    DEFAULT_FIDELITY = "detailed"
-
-    def __init__(self, table: Optional[dict[str, str]] = None,
-                 default: Optional[str] = None):
-        _ensure_builtins()
-        self._table = dict(self.DEFAULT_TABLE if table is None else table)
-        self._default = self.DEFAULT_FIDELITY if default is None else default
-        for cat, fid in [*self._table.items(), ("default", self._default)]:
-            if fid not in _LEAF_FIDELITIES:
-                raise MPIError(
-                    f"hybrid fidelity for {cat!r} must be one of "
-                    f"{leaf_fidelities()}, got {fid!r}"
-                )
-
-    def fidelity(self, category: str, comm=None) -> str:
-        return self._table.get(category, self._default)
-
-    def describe(self) -> str:
-        parts = [f"{c}={f}" for c, f in sorted(self._table.items())]
-        parts.append(f"default={self._default}")
-        return f"{self.name}:{','.join(parts)}"
-
-    @classmethod
-    def from_spec(cls, options: str) -> "HybridBackend":
-        """Parse ``sync=analytic,exchange=detailed,default=detailed``."""
-        if not options:
-            return cls()
-        table: dict[str, str] = {}
-        default = None
-        for item in options.split(","):
-            key, sep, fid = item.partition("=")
-            key, fid = key.strip(), fid.strip()
-            if not sep or not key or not fid:
-                raise MPIError(
-                    f"malformed hybrid backend entry {item!r}; expected "
-                    "'category=fidelity' (e.g. 'hybrid:sync=analytic,"
-                    "exchange=detailed')"
-                )
-            if key == "default":
-                default = fid
-            else:
-                table[key] = fid
-        return cls(table=table, default=default)
-
-
-register_backend(HybridBackend.name, HybridBackend.from_spec)
-
-
-class ScopedBackend(CollectiveBackend):
-    """Communicator-scope fidelity: world collectives vs everything else.
-
-    ``scoped:world=analytic,default=macro`` runs collectives issued on
-    the *world* communicator (context 0 — the global barriers, extent
-    allgathers and splits that every rank joins) at one fidelity and
-    collectives on derived communicators (FA subgroups, node groups) at
-    another.  This is the shape the sharded DES needs: with world-scope
-    collectives analytic, cross-shard interaction reduces to pure
-    timestamp merging, while subgroup traffic — which never crosses a
-    shard boundary under ParColl's partition — keeps full message (or
-    macro) fidelity.  Call sites that cannot name their communicator
-    (``comm=None``) take the ``default`` path.
-    """
-
-    name = "scoped"
-    DEFAULT_WORLD = "analytic"
-    DEFAULT_SCOPED = "macro"
-
-    def __init__(self, world: Optional[str] = None,
-                 default: Optional[str] = None):
-        _ensure_builtins()
-        self._world = self.DEFAULT_WORLD if world is None else world
-        self._default = self.DEFAULT_SCOPED if default is None else default
-        for scope, fid in (("world", self._world),
-                           ("default", self._default)):
-            if fid not in _LEAF_FIDELITIES:
-                raise MPIError(
-                    f"scoped fidelity for {scope!r} must be one of "
-                    f"{leaf_fidelities()}, got {fid!r}"
-                )
-
-    def fidelity(self, category: str, comm=None) -> str:
-        if comm is not None and comm.desc.ctx == 0:
-            return self._world
-        return self._default
-
-    def describe(self) -> str:
-        return f"{self.name}:world={self._world},default={self._default}"
-
-    @classmethod
-    def from_spec(cls, options: str) -> "ScopedBackend":
-        """Parse ``world=<fidelity>,default=<fidelity>`` (both optional)."""
-        if not options:
-            return cls()
-        kwargs: dict = {}
-        for item in options.split(","):
-            key, sep, fid = item.partition("=")
-            key, fid = key.strip(), fid.strip()
-            if not sep or key not in ("world", "default") or not fid:
-                raise MPIError(
-                    f"malformed scoped backend entry {item!r}; expected "
-                    "'scoped:world=<fidelity>,default=<fidelity>'"
-                )
-            kwargs[key] = fid
-        return cls(**kwargs)
-
-
-register_backend(ScopedBackend.name, ScopedBackend.from_spec)
+    if name in FIDELITIES:
+        if options:
+            raise MPIError(
+                f"collective backend {name!r} takes no options, "
+                f"got {options!r}"
+            )
+        return CollectiveBackend(name, {}, name)
+    entries: dict[str, str] = {}
+    for item in options.split(",") if options else ():
+        key, sep, fid = item.partition("=")
+        key, fid = key.strip(), fid.strip()
+        if (not sep or not key or not fid
+                or (name == "scoped" and key not in ("world", "default"))):
+            raise MPIError(
+                f"malformed {name} backend entry {item!r}; expected "
+                f"'{_ENTRY_FORM[name]}'"
+            )
+        if fid not in FIDELITIES:
+            raise MPIError(
+                f"{name} fidelity for {key!r} must be one of "
+                f"{FIDELITIES}, got {fid!r}"
+            )
+        entries[key] = fid
+    if name == "scoped":
+        return CollectiveBackend(name, {}, entries.get("default", "macro"),
+                                 world=entries.get("world", "analytic"))
+    default = entries.pop("default", "detailed")
+    return CollectiveBackend(name, entries if options else {"sync": "analytic"},
+                             default)

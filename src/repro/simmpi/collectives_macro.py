@@ -70,7 +70,6 @@ from repro.perf import perf_counters
 from repro.sim.effects import WaitEvent
 from repro.sim.engine import _K_CALL1, _K_FIRE, Event
 from repro.simmpi import collectives_detailed as detailed
-from repro.simmpi.backends import _LeafBackend, register_backend
 from repro.simmpi.p2p import RTS_BYTES
 from repro.simmpi.payload import Payload, sizeof
 from repro.simmpi.reduce_ops import ReduceOp
@@ -83,15 +82,6 @@ _INF = float("inf")
 #: a rank's step function: step k as ``(dst, dstep, nb, src)``, or None
 #: past the last step (see :class:`_Driver`)
 _StepFn = Callable[[int], Optional[tuple]]
-
-
-class MacroBackend(_LeafBackend):
-    """Synchronizing collectives replay their schedule in closed form."""
-
-    name = "macro"
-
-
-register_backend(MacroBackend.name, MacroBackend.from_spec, leaf=True)
 
 #: initial site entries must order before any allocated sequence number
 _BIG = 1 << 60

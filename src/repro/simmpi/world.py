@@ -73,7 +73,7 @@ class CommDescriptor:
         #: op seq -> [fidelity, category, first group rank, arrivals]
         self.fidelities: dict[int, list] = {}
         #: node -> (leader, members) cache for the nodeagg protocol
-        #: (:func:`repro.mpiio.protocols.nodeagg.node_groups`)
+        #: (:func:`repro.mpiio.nodeagg.node_groups`)
         self.node_cache: dict[int, tuple[int, list[int]]] = {}
 
 
@@ -278,12 +278,6 @@ class World:
         else:
             mbox.add_unexpected(msg)
 
-    def _complete_match(self, msg: Message, pr: PostedRecv) -> None:
-        if not msg.rendezvous:
-            pr.event.fire((msg.payload, msg))
-            return
-        self._rendezvous_cts(msg, pr.event)
-
     def _rendezvous_cts(self, msg: Message, event: Event) -> None:
         """Rendezvous match: clear-to-send travels back, then data moves."""
         eng = self.engine
@@ -484,10 +478,6 @@ class Communicator:
         return values
 
     # -- internal p2p on the collective context ---------------------------
-    @property
-    def _coll_ctx(self) -> int:
-        return self._coll_ctx_val
-
     def _coll_isend(self, obj: Any, dest: int, tag: int,
                     nbytes: Optional[int] = None) -> Event:
         """Internal send on the collective context; returns the bare
@@ -503,10 +493,6 @@ class Communicator:
         event fires with ``(payload, status)``."""
         return self.world.post_recv_ev(
             self.proc.rank, self._coll_ctx_val, self.desc.members[source], tag)
-
-    def _coll_recv(self, source: int, tag: int) -> Generator[Any, Any, Payload]:
-        payload, _ = yield self._coll_irecv(source, tag)
-        return payload
 
     # ------------------------------------------------------------------
     # collectives
@@ -606,16 +592,10 @@ class Communicator:
             self._check_fidelity_symmetry(fid, category)
         if fid == "analytic":
             path = analytic_path
-        elif fid == "detailed":
-            path = detailed_path
-        elif fid == "macro":
-            path = macro_path if macro_path is not None else detailed_path
+        elif fid == "macro" and macro_path is not None:
+            path = macro_path
         else:
-            raise MPIError(
-                f"backend {self.backend.describe()!r} selected unknown "
-                f"fidelity {fid!r} for category {category!r}; "
-                f"expected one of ['analytic', 'detailed', 'macro']"
-            )
+            path = detailed_path
         result = yield from path()
         self._charge(category, t0)
         return result

@@ -15,7 +15,7 @@ Three layers, described in ``docs/testing.md``:
 3. **generator fleet** (:mod:`repro.validate.strategies`,
    :mod:`repro.validate.differential`) — Hypothesis strategies plus a
    seeded differential harness asserting that ext2ph, ParColl, and every
-   registered collective backend produce byte-identical files against
+   collective backend family produce byte-identical files against
    the golden oracle, with replay-deterministic virtual-time metrics.
 """
 

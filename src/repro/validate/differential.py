@@ -5,8 +5,8 @@ configuration — an access pattern from the paper's Figure 4 families (or
 a ``btio``/``flash_io`` workload program), Lustre striping, a ParColl
 grouping, a collective-fidelity backend, and (sometimes) a fault plan.
 :func:`run_case` executes it as a small verified-mode simulation per
-protocol/backend combination — every protocol registered in
-:mod:`repro.mpiio.protocols` races — and asserts:
+protocol/backend combination — every protocol in
+:data:`repro.mpiio.PROTOCOLS` races — and asserts:
 
 * every combination produces **byte-identical file contents** against
   :func:`~repro.validate.oracle.sequential_golden` (synthetic patterns)
@@ -35,7 +35,7 @@ import numpy as np
 from repro.cluster import MachineConfig, NetworkParams
 from repro.datatypes import BYTE
 from repro.lustre import LustreFS, LustreParams
-from repro.mpiio import MPIIO, available_protocols
+from repro.mpiio import MPIIO, PROTOCOLS
 from repro.simmpi import World
 from repro.validate.oracle import OracleDiff, sequential_golden
 from repro.workloads.base import deterministic_bytes
@@ -43,13 +43,14 @@ from repro.workloads.synthetic import (SyntheticConfig, file_bytes_total,
                                        filetype_for,
                                        rank_offsets_for_interleaved)
 
-#: every registered collective-fidelity backend family gets coverage
+#: every collective-fidelity backend family gets coverage
 BACKENDS = (
     "analytic",
     "detailed",
     "macro",
     "hybrid:sync=analytic,default=detailed",
     "hybrid:sync=macro,default=detailed",
+    "scoped:world=analytic,default=detailed",
 )
 
 #: the paper's pattern families: (a) serial, (b) tiled, (c) interleaved,
@@ -262,16 +263,15 @@ def _byte_diff(name: str, expected: np.ndarray,
 def protocol_combos(case: DiffCase) -> list[tuple[str, dict]]:
     """The (label, hints) grid one case races.
 
-    Every protocol registered in :mod:`repro.mpiio.protocols` runs on the
-    analytic backend; the protocols that actually communicate (parcoll,
-    nodeagg) additionally run on the case's drawn backend, and nodeagg
-    runs once more composed with FA partitioning — the full protocol
-    cross-product a new registration joins automatically.
+    Every protocol in :data:`repro.mpiio.PROTOCOLS` runs on the analytic
+    backend; the protocols that actually communicate (parcoll, nodeagg)
+    additionally run on the case's drawn backend, and nodeagg runs once
+    more composed with FA partitioning.
     """
     parcoll_hints = {"protocol": "parcoll", "parcoll_ngroups": case.ngroups,
                      "parcoll_data_path": case.data_path}
     combos = []
-    for name in available_protocols():
+    for name in PROTOCOLS:
         hints = parcoll_hints if name == "parcoll" else {"protocol": name}
         combos.append((f"{name}@analytic", hints))
         if name in ("parcoll", "nodeagg") and case.backend != "analytic":

@@ -37,12 +37,12 @@ def stripe_settings() -> st.SearchStrategy[dict]:
 
 
 def backend_modes() -> st.SearchStrategy[str]:
-    """Every registered collective-fidelity backend family."""
+    """Every backend of the differential grid."""
     return st.sampled_from(BACKENDS)
 
 
 def protocol_hints() -> st.SearchStrategy[dict]:
-    """Hint dicts spanning every registered collective protocol."""
+    """Hint dicts spanning every collective protocol."""
     parcoll = st.fixed_dictionaries({
         "protocol": st.just("parcoll"),
         "parcoll_ngroups": st.sampled_from([2, 3, 4, 8]),
@@ -106,10 +106,3 @@ def diff_cases(workload: str = "synthetic") -> st.SearchStrategy[DiffCase]:
         plan=fault_plans(),
         nprocs_sq=st.sampled_from([4, 9]),
     )
-
-
-def workload_cases() -> st.SearchStrategy[DiffCase]:
-    """BT-IO and Flash I/O differential cases (the PR 5 leftover):
-    derived-datatype views and multi-dataset checkpoints through the same
-    protocol-racing harness as the synthetic patterns."""
-    return st.sampled_from(["btio", "flash_io"]).flatmap(diff_cases)

@@ -73,9 +73,6 @@ class Hdf5LiteWriter:
                    if verified else None)
             yield from self.f.write_at(0, hdr, nbytes=HEADER_BYTES)
 
-    def dataset_base(self, name: str) -> int:
-        return self.datasets[name][0]
-
     @property
     def file_bytes(self) -> int:
         return self._cursor

@@ -1,5 +1,5 @@
-"""Collective-fidelity backends: registry, hybrid mode, overrides, and
-the one-path-per-call regression guard."""
+"""Collective-fidelity backends: spec parsing, hybrid mode, overrides,
+and the one-path-per-call regression guard."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ import pytest
 from repro.cluster import MachineConfig, NetworkParams
 from repro.errors import MPIError, MPIIOError, ParCollError
 from repro.datatypes import BYTE, Vector
-from repro.simmpi import (HybridBackend, World, available_backends,
-                          resolve_backend)
+from repro.simmpi import World, resolve_backend
+from repro.simmpi.backends import BACKEND_NAMES
 from repro.simmpi.world import Communicator
 from tests.conftest import Stack, rank_pattern
 
@@ -21,17 +21,20 @@ def make_world(nprocs=8, mode="analytic"):
 
 
 # ----------------------------------------------------------------------
-# registry and spec parsing
+# spec parsing
 # ----------------------------------------------------------------------
 def test_builtin_backends_registered():
-    assert {"analytic", "detailed", "hybrid"} <= set(available_backends())
+    assert BACKEND_NAMES == ("analytic", "detailed", "hybrid", "macro",
+                             "scoped")
+    for name in BACKEND_NAMES:
+        assert resolve_backend(name).name == name
 
 
 def test_unknown_backend_error_lists_registered():
     with pytest.raises(MPIError) as exc:
         resolve_backend("telepathic")
     msg = str(exc.value)
-    for name in available_backends():
+    for name in BACKEND_NAMES:
         assert name in msg
 
 
@@ -50,17 +53,39 @@ def test_leaf_backends_reject_options():
     "hybrid:sync",                 # missing '='
     "hybrid:default=hybrid",       # hybrid is not a leaf fidelity
     "hybrid:=analytic",            # empty category
+    "scoped:world",                # missing '='
+    "scoped:planet=analytic",      # scoped takes only world/default
+    "scoped:world=hybrid",         # hybrid is not a leaf fidelity
+    "",                            # no backend name
 ])
-def test_hybrid_spec_parse_errors(spec):
+def test_backend_spec_parse_errors(spec):
     with pytest.raises(MPIError):
         resolve_backend(spec)
 
 
+@pytest.mark.parametrize("spec, canonical", [
+    ("analytic", "analytic"),
+    ("detailed", "detailed"),
+    ("macro", "macro"),
+    ("hybrid", "hybrid:sync=analytic,default=detailed"),
+    ("hybrid:io=detailed,sync=analytic",
+     "hybrid:io=detailed,sync=analytic,default=detailed"),
+    ("hybrid:default=analytic", "hybrid:default=analytic"),
+    ("scoped", "scoped:world=analytic,default=macro"),
+    ("scoped:default=detailed", "scoped:world=analytic,default=detailed"),
+    ("scoped: world = detailed , default=analytic",
+     "scoped:world=detailed,default=analytic"),
+])
+def test_describe_is_canonical(spec, canonical):
+    assert resolve_backend(spec).describe() == canonical
+
+
 def test_hybrid_describe_is_canonical_and_round_trips():
-    spec = "hybrid:io=detailed,sync=analytic"
-    canonical = resolve_backend(spec).describe()
-    assert canonical.startswith("hybrid:")
-    assert resolve_backend(canonical).describe() == canonical
+    for spec in ("hybrid:io=detailed,sync=analytic",
+                 "scoped:default=detailed"):
+        canonical = resolve_backend(spec).describe()
+        assert canonical.startswith(spec.partition(":")[0] + ":")
+        assert resolve_backend(canonical).describe() == canonical
 
 
 def test_world_collective_mode_property():
@@ -72,7 +97,7 @@ def test_world_collective_mode_property():
 
 
 def test_resolve_backend_instance_passthrough():
-    b = HybridBackend({"sync": "analytic"}, default="detailed")
+    b = resolve_backend("hybrid:sync=analytic,default=detailed")
     assert resolve_backend(b) is b
     assert b.fidelity("sync") == "analytic"
     assert b.fidelity("exchange") == "detailed"

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.mpiio.protocols.nodeagg import node_groups
+from repro.mpiio.nodeagg import node_groups
 from tests.conftest import Stack, rank_pattern
 
 

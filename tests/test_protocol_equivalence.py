@@ -4,7 +4,7 @@ writes byte-identical files on every (disjoint) access pattern.
 Patterns come from the synthetic generator (the paper's Figure 4 families
 plus seeded random disjoint sets); protocols are independent I/O, the
 ext2ph baseline, ParColl with several group counts and both
-intermediate-view data paths, and the registry's node aggregation.
+intermediate-view data paths, and node aggregation.
 Hypothesis drives sizes and seeds.
 """
 
@@ -122,15 +122,15 @@ def test_read_back_equivalence(hints):
 @pytest.mark.parametrize("pattern", ["serial", "tiled", "interleaved",
                                      "random"])
 def test_registry_cross_product_under_oracle(pattern):
-    """Every *registered* protocol, under the runtime oracle, writes the
-    byte-identical reference file — the registry-wide differential
-    property (new registrations are covered automatically)."""
-    from repro.mpiio.protocols import available_protocols
+    """Every protocol in the table, under the runtime oracle, writes the
+    byte-identical reference file — the table-wide differential property
+    (a new table entry is covered automatically)."""
+    from repro.mpiio import PROTOCOLS
 
     cfg = SyntheticConfig(pattern=pattern, nprocs=4, bytes_per_rank=1024,
                           piece_bytes=128, seed=7)
     expected = reference_file(cfg, deterministic_bytes)
-    for name in available_protocols():
+    for name in PROTOCOLS:
         hints = {"protocol": name, "parcoll_validate": True}
         if name in ("parcoll", "nodeagg"):
             hints["parcoll_ngroups"] = 2

@@ -1,8 +1,8 @@
-"""The collective-protocol registry: resolution, symmetry, shared state.
+"""The collective-protocol table: hint validation, symmetry, shared state.
 
-Covers the registry seam itself (spec parsing, unknown-protocol errors,
-option handling), the per-file protocol symmetry ledger (rank-divergent
-hints fail loudly), the per-protocol shared-state slots (hint changes
+Covers the table seam itself (which names the ``protocol`` hint
+accepts), the per-file protocol symmetry ledger (rank-divergent hints
+fail loudly), the per-protocol shared-state slots (hint changes
 invalidate cached plans mid-file), and the platform-default threading
 (``MPIIO(default_hints=...)``, ``ExperimentConfig.protocol``).
 """
@@ -11,9 +11,8 @@ import numpy as np
 import pytest
 
 from repro.errors import MPIIOError, ParCollError
-from repro.mpiio import MPIIO, IOHints
-from repro.mpiio.protocols import (CollectiveProtocol, available_protocols,
-                                   resolve_protocol)
+from repro.mpiio import MPIIO, PROTOCOLS, IOHints
+from repro.simmpi import resolve_backend
 from repro.workloads.base import deterministic_bytes
 from tests.conftest import Stack
 
@@ -22,29 +21,27 @@ BUILTINS = {"ext2ph", "independent", "nodeagg", "parcoll"}
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert BUILTINS <= set(available_protocols())
-
-    def test_resolve_returns_protocol_instances(self):
-        for name in available_protocols():
-            proto = resolve_protocol(name)
-            assert isinstance(proto, CollectiveProtocol)
-            assert proto.name == name
+        assert set(PROTOCOLS) == BUILTINS
+        for name in PROTOCOLS:
+            assert IOHints(protocol=name).protocol == name
 
     def test_instance_passthrough(self):
-        proto = resolve_protocol("ext2ph")
-        assert resolve_protocol(proto) is proto
+        backend = resolve_backend("scoped")
+        assert resolve_backend(backend) is backend
 
     def test_unknown_protocol_lists_registered(self):
-        with pytest.raises(ParCollError, match="registered protocols"):
-            resolve_protocol("magic")
+        with pytest.raises(MPIIOError) as exc:
+            IOHints(protocol="magic")
+        for name in BUILTINS:
+            assert name in str(exc.value)
 
     def test_non_string_spec_rejected(self):
-        with pytest.raises(ParCollError):
-            resolve_protocol(42)
+        with pytest.raises(MPIIOError):
+            IOHints(protocol=42)
 
     def test_options_rejected_where_unsupported(self):
-        with pytest.raises(ParCollError):
-            resolve_protocol("ext2ph:whatever")
+        with pytest.raises(MPIIOError):
+            IOHints(protocol="ext2ph:whatever")
 
     def test_hints_validate_against_registry(self):
         with pytest.raises(MPIIOError):

@@ -13,7 +13,7 @@ from dataclasses import fields
 
 import pytest
 
-from repro.errors import ConfigError, ShardError
+from repro.errors import ConfigError, MPIError, ShardError
 from repro.faults import FaultPlan
 from repro.harness.runner import ExperimentConfig, run_experiment
 from repro.shard import analyze, workload_hints_of
@@ -65,6 +65,7 @@ class TestBitIdentity:
         "scoped:world=analytic,default=macro",
         "scoped:world=analytic,default=detailed",
         "analytic",
+        "hybrid:default=analytic",
     ])
     def test_sharded_equals_unsharded(self, shards, backend):
         program = parcoll_workload()
@@ -131,10 +132,17 @@ class TestFallbacks:
         assert plan().active
         assert plan().ranks_per_shard == 4
         assert plan().groups_per_shard == 1
+        # every spec whose world collectives all resolve to analytic
+        for mode in ("scoped", "scoped:default=detailed",
+                     "hybrid:default=analytic"):
+            assert plan(cfg_kw={"collective_mode": mode}).active, mode
         for kw, needle in [
             (dict(cfg_kw={"mapping": "roundrobin"}), "mapping"),
             (dict(cfg_kw={"use_torus": True}), "torus"),
             (dict(cfg_kw={"collective_mode": "detailed"}), "analytic"),
+            (dict(cfg_kw={"collective_mode": "scoped:world=detailed"}),
+             "analytic"),
+            (dict(cfg_kw={"collective_mode": "hybrid"}), "analytic"),
             (dict(cfg_kw={"cores_per_node": 8}), "node"),
             (dict(hint_kw={"parcoll_ngroups": 6}), "divide"),
             (dict(hint_kw={"parcoll_ngroups": None}), "parcoll_ngroups"),
@@ -142,6 +150,8 @@ class TestFallbacks:
             p = plan(**kw)
             assert not p.active
             assert needle in p.reason
+        with pytest.raises(MPIError):
+            plan(cfg_kw={"collective_mode": "scoped:world"})
 
     @pytest.mark.parametrize("shards", [0, -3])
     def test_shard_count_below_one_rejected(self, shards):
