@@ -338,6 +338,9 @@ class LustreFS:
         """Write segments (densely packed ``data``) as one client operation.
 
         Returns bytes written.  ``data=None`` is allowed only in model mode.
+        The bytes are copied into the store at the commit, so the call
+        drops its reference to ``data`` there, before the modeled OST
+        service time elapses.
         """
         offsets = np.asarray(offsets, dtype=np.int64).ravel()
         lengths = np.asarray(lengths, dtype=np.int64).ravel()
@@ -363,6 +366,7 @@ class LustreFS:
             return self._do_io(f, client, offsets, lengths, "w", retry=retry)
 
         done = yield from self._commit(client, commit)
+        del data, flat, commit
         self.bytes_written += total
         yield Sleep(done - self.engine.now)
         return total

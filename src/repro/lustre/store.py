@@ -35,8 +35,10 @@ class ByteStore:
             new_cap = self._buf.size
             while new_cap < end:
                 new_cap *= 2
+            # only the written prefix is copied: capacity past ``size``
+            # stays untouched zero pages until a write reaches it
             buf = np.zeros(new_cap, dtype=np.uint8)
-            buf[: self._buf.size] = self._buf
+            buf[: self.size] = self._buf[: self.size]
             self._buf = buf
 
     def write(self, offset: int, data: np.ndarray) -> None:

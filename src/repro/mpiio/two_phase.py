@@ -115,26 +115,54 @@ def place_data(segs: Segments, prefix: np.ndarray, out: np.ndarray,
                      incoming)
 
 
+def _file_domains(env: IOEnv, extents: list) -> Optional[tuple]:
+    """``(aggs, aggregator index by rank, starts, ends)`` for the
+    allgathered ``(lo, hi)`` extents, or None when no rank accesses
+    anything.
+
+    Every rank of the call holds the same extents, so the first rank
+    through builds the result and leaves it in its communicator
+    descriptor under the allgather's op number and the hints it derives
+    from; the other ranks take it from there.  A rank whose hints differ
+    builds its own, as every rank did before.  One slot suffices: no
+    rank can finish the next call's allgather before every rank has
+    passed this lookup.
+    """
+    comm = env.comm
+    hints = env.hints
+    align = env.lfile.layout if hints.align_file_domains else None
+    key = (comm._op_seq, hints.cb_config_ranks, hints.cb_nodes,
+           None if align is None else align.stripe_size)
+    held = comm.desc.domains
+    if held is not None and held[0] == key:
+        return held[1]
+    ext = np.array(extents, dtype=np.int64)
+    ext = ext[ext[:, 0] >= 0]
+    domains = None
+    if ext.size:
+        aggs = default_aggregators(comm.desc.members, env.machine, hints)
+        starts, ends = partition_file_domains(
+            int(ext[:, 0].min()), int(ext[:, 1].max()), len(aggs), align)
+        domains = (aggs, {r: i for i, r in enumerate(aggs)}, starts, ends)
+    comm.desc.domains = (key, domains)
+    return domains
+
+
 def _setup(env: IOEnv, segs: Segments
            ) -> Generator[Any, Any, Optional[tuple]]:
-    """Shared phases 1-3; returns (aggs, starts, ends, ntimes) or None."""
+    """Shared phases 1-3; returns (aggs, starts, ends, ntimes, my_idx)
+    or None."""
     comm = env.comm
     offs, lens = segs
     lo = int(offs[0]) if offs.size else -1
     hi = int(offs[-1] + lens[-1]) if offs.size else -1
     extents = yield from comm.allgather((lo, hi), category="sync")
-    ext = np.array(extents, dtype=np.int64)
-    ext = ext[ext[:, 0] >= 0]
-    if not ext.size:
+    domains = _file_domains(env, extents)
+    if domains is None:
         return None
-    fd_min = int(ext[:, 0].min())
-    fd_max = int(ext[:, 1].max())
-    members = comm.desc.members
-    aggs = default_aggregators(members, env.machine, env.hints)
-    align = env.lfile.layout if env.hints.align_file_domains else None
-    starts, ends = partition_file_domains(fd_min, fd_max, len(aggs), align)
+    aggs, agg_index, starts, ends = domains
     cb = env.hints.cb_buffer_size
-    my_idx = aggs.index(comm.rank) if comm.rank in aggs else -1
+    my_idx = agg_index.get(comm.rank, -1)
     my_rounds = 0
     if my_idx >= 0:
         my_rounds = int(-(-(ends[my_idx] - starts[my_idx]) // cb))
@@ -287,17 +315,18 @@ def collective_write(env: IOEnv, segs: Segments,
         counts = _counts_vector(send_lists, aggs, comm.size)
         all_counts = yield from comm.alltoall(counts, nbytes_each=8,
                                               category="sync")
-        # dispatch my pieces (local piece short-circuits the network)
+        # dispatch my pieces (local piece short-circuits the network);
+        # the aggregator side empties ``pieces`` once it has merged them
         reqs = []
         batch: list = []
-        local_piece = None
+        pieces: list = []
         for a, sub in send_lists.items():
             piece_data = None if model else extract_data(segs, prefix, data, sub)
             if translate is not None:
                 sub = translate(sub)
             nbytes = int(sub[1].sum()) + SEG_HEADER_BYTES * sub[0].size
             if aggs[a] == comm.rank:
-                local_piece = (sub, piece_data)
+                pieces.append((sub, piece_data))
                 continue
             payload = Payload(nbytes, (sub[0], sub[1], piece_data))
             if use_batch:
@@ -308,7 +337,7 @@ def collective_write(env: IOEnv, segs: Segments,
         if batch:
             reqs = comm.isend_batch(batch, tag=TP_TAG + rnd)
         if my_idx >= 0:
-            yield from _aggregate_and_write(env, all_counts, local_piece,
+            yield from _aggregate_and_write(env, all_counts, pieces,
                                             rnd, memcpy_bw, pending)
         if reqs:
             yield from comm.waitall(reqs, category="exchange")
@@ -362,10 +391,15 @@ def _sources(all_counts: np.ndarray, me: int) -> list[int]:
 
 
 def _aggregate_and_write(env: IOEnv, all_counts: np.ndarray,
-                         local_piece, rnd: int, memcpy_bw: float,
+                         pieces: list, rnd: int, memcpy_bw: float,
                          pending: Optional[list] = None
                          ) -> Generator[Any, Any, None]:
     """Aggregator side of one write round: collect, merge, write.
+
+    ``pieces`` holds this rank's own ``(segments, data)`` piece, if any;
+    the received pieces join it, and the list is emptied once merged.
+    The merged window lives only until the file system has copied it
+    into the store.
 
     With ``pipelined_io`` the file write runs as a background task
     (double-buffered split-phase I/O): the aggregator proceeds to the
@@ -375,13 +409,9 @@ def _aggregate_and_write(env: IOEnv, all_counts: np.ndarray,
     comm = env.comm
     recv_reqs = [comm.irecv(source=s, tag=TP_TAG + rnd)
                  for s in _sources(all_counts, comm.rank)]
-    pieces = []
-    if local_piece is not None:
-        pieces.append(local_piece)
     got = yield from comm.waitall(recv_reqs, category="exchange")
-    for payload, _status in got:
-        sub_offs, sub_lens, piece_data = payload.data
-        pieces.append(((sub_offs, sub_lens), piece_data))
+    pieces.extend(((p.data[0], p.data[1]), p.data[2]) for p, _status in got)
+    del recv_reqs, got  # the completed requests hold the payloads too
     if not pieces:
         if env.validator is not None:
             env.validator.check_round_conservation(
@@ -395,12 +425,14 @@ def _aggregate_and_write(env: IOEnv, all_counts: np.ndarray,
         env.validator.check_round_conservation(
             int(np.asarray(all_counts).sum()),
             sum(int(p[0][1].sum()) for p in pieces), nbytes, rnd)
+    pieces.clear()
     copy_t = nbytes / memcpy_bw
     yield Sleep(copy_t)
     env.breakdown.add("compute", copy_t)
     write_gen = env.fs.write(env.lfile, client=comm.proc.rank,
                              offsets=w_offs, lengths=w_lens,
                              data=merged_data, retry=env.retry)
+    del merged_data  # the write drops it once committed
     if pending is not None and env.hints.pipelined_io:
         task = yield Spawn(write_gen, ("pipelined-write", rnd))
         pending.append(task)

@@ -60,7 +60,7 @@ class CommDescriptor:
     """State shared by every rank's handle on one communicator."""
 
     __slots__ = ("ctx", "members", "rank_of", "sites", "fidelities",
-                 "node_cache")
+                 "node_cache", "domains")
 
     def __init__(self, ctx: int, members: list[int]):
         self.ctx = ctx
@@ -75,6 +75,9 @@ class CommDescriptor:
         #: node -> (leader, members) cache for the nodeagg protocol
         #: (:func:`repro.mpiio.nodeagg.node_groups`)
         self.node_cache: dict[int, tuple[int, list[int]]] = {}
+        #: the latest two-phase call's aggregators and file domains,
+        #: shared by its ranks (:func:`repro.mpiio.two_phase._file_domains`)
+        self.domains: Optional[tuple] = None
 
 
 class _Site:

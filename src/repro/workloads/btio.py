@@ -130,6 +130,7 @@ def btio_program(cfg: BTIOConfig, comm, io
         # extent is the whole solution array), exactly like BT-IO appends
         tw = comm.now
         n = yield from f.write_all(data, nbytes=per_step)
+        del data  # every piece still in flight is a copy
         stats.io_seconds += comm.now - tw
         stats.bytes_written += n
     stats.write_times = AccessTimes(t0, comm.now)
@@ -146,7 +147,11 @@ def btio_program(cfg: BTIOConfig, comm, io
                 import numpy as np
 
                 expected = payload_for(comm.rank, per_step, True, salt=step)
-                if not np.array_equal(got, expected):
+                same = np.array_equal(got, expected)
+                # both arrays die here, not when the next step's read
+                # returns and rebinds them
+                del got, expected
+                if not same:
                     raise AssertionError(
                         f"BT-IO verification failed: rank {comm.rank} "
                         f"step {step} read back different bytes"

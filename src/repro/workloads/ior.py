@@ -56,6 +56,7 @@ def ior_program(cfg: IORConfig, comm, io) -> Generator[Any, Any, WorkloadIOStats
         data = payload_for(comm.rank, cfg.transfer_size, verified, salt=t)
         tw = comm.now
         n = yield from f.write_at_all(offset, data, nbytes=cfg.transfer_size)
+        del data  # not held into the next transfer or the read phase
         stats.io_seconds += comm.now - tw
         stats.bytes_written += n
     stats.write_times = AccessTimes(t0, comm.now)
@@ -65,6 +66,7 @@ def ior_program(cfg: IORConfig, comm, io) -> Generator[Any, Any, WorkloadIOStats
             offset = base + t * cfg.transfer_size
             out = yield from f.read_at_all(offset, cfg.transfer_size)
             stats.bytes_read += cfg.transfer_size if out is None else out.size
+            del out
         stats.read_times = AccessTimes(t0, comm.now)
     yield from f.close()
     return stats

@@ -88,6 +88,7 @@ def tile_io_program(cfg: TileIOConfig, comm, io
         data = payload_for(comm.rank, nbytes, verified)
         t0 = comm.now
         n = yield from f.write_at_all(0, data, nbytes=nbytes)
+        del data  # not held through the read phase
         stats.write_times = AccessTimes(t0, comm.now)
         stats.io_seconds += comm.now - t0
         stats.bytes_written = n

@@ -289,3 +289,40 @@ def test_stats_counters():
     run(eng, prog())
     assert fs.bytes_written == 100
     assert fs.bytes_read == 40
+
+
+def test_write_drops_data_once_committed():
+    """The store copies the bytes at the commit; the array passed in must
+    not live on through the modeled OST service time."""
+    import weakref
+
+    from repro.sim.effects import Sleep
+
+    eng, fs = make_fs()
+    state = {}
+
+    def writer():
+        f = yield from fs.open("w")
+        state["file"] = f
+        data = np.arange(4096, dtype=np.uint8)
+        state["ref"] = weakref.ref(data)
+        write = fs.write(f, client=0, offsets=[0], lengths=[4096], data=data)
+        del data
+        yield from write
+        state["done"] = True
+
+    def probe():
+        # sample every 10 us until the write returns
+        samples = []
+        while "done" not in state:
+            yield Sleep(10e-6)
+            f = state.get("file")
+            if f is not None and f.store.size and "done" not in state:
+                samples.append(state["ref"]() is None)
+        return samples
+
+    _, samples = run(eng, writer(), probe())
+    assert samples, "the probe never saw the write between commit and return"
+    assert all(samples)
+    np.testing.assert_array_equal(fs.lookup("w").contents(),
+                                  np.arange(4096, dtype=np.uint8))

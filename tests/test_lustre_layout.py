@@ -94,6 +94,19 @@ class TestByteStore:
         assert bs.size == 10_100
         assert bs.read(10_050, 1)[0] == 7
 
+    def test_growth_copies_only_the_written_prefix(self):
+        bs = ByteStore(initial_capacity=16)
+        bs.write(0, np.arange(1, 11, dtype=np.uint8))
+        # spare capacity past the written size is never read, so growth
+        # must not carry it over
+        bs._buf[10:] = 0xEE
+        bs.write(100, np.full(4, 7, dtype=np.uint8))
+        assert bs.size == 104 and bs._buf.size >= 104
+        np.testing.assert_array_equal(bs.read(0, 10), np.arange(1, 11))
+        np.testing.assert_array_equal(bs.read(10, 90), np.zeros(90, np.uint8))
+        np.testing.assert_array_equal(bs.read(100, 4), [7, 7, 7, 7])
+        assert not bs._buf[104:].any()
+
     def test_snapshot(self):
         bs = ByteStore()
         bs.write(0, np.array([1, 2, 3], dtype=np.uint8))

@@ -262,6 +262,35 @@ def test_explicit_aggregator_hints_respected():
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_file_domains_built_once_per_call(monkeypatch, mode):
+    """Every rank gathers the same extents, so one ext2ph write builds its
+    aggregator list and file domains once, not once per rank."""
+    from repro.mpiio import two_phase
+
+    calls = []
+    real = two_phase.partition_file_domains
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(two_phase, "partition_file_domains", counting)
+    st = Stack(nprocs=64, collective_mode=mode)
+    block = 64
+
+    def program(comm, io):
+        f = yield from io.open(comm, "once")
+        yield from f.write_at_all(comm.rank * block,
+                                  rank_pattern(comm.rank, block))
+        yield from f.close()
+
+    st.run(program)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(st.file_bytes("once"),
+                                  written_reference_contiguous(64, block))
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_independent_protocol_writes_correctly(mode):
     st = Stack(nprocs=4, collective_mode=mode)
 
