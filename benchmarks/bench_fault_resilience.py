@@ -6,8 +6,9 @@ argument:
 * **retry recovers a flaky OST** — under a flaky-RPC plan (every RPC to
   OST 0 lost with probability 0.5), the client-side retry/timeout/
   backoff machinery completes the run at a finite fraction of healthy
-  bandwidth, while a no-retry client (``retry_max_attempts=1``) aborts
-  with :class:`~repro.errors.FaultExhaustedError`;
+  bandwidth, while a no-retry client (platform
+  ``retry={"max_attempts": 1}``) aborts with
+  :class:`~repro.errors.FaultExhaustedError`;
 * **partitioning contains a straggler OST** — with one OST serving at
   10% of nominal rate, flat ext2ph re-couples every rank to the slow
   aggregator on every collective call (the median rank degrades like

@@ -6,17 +6,12 @@ the block/cyclic rank-to-node mappings of Figure 5, per-node NIC resources
 (SeaStar analog), and a LogGP-style network cost model.
 """
 
-from repro.cluster.allocation import allocate, average_pairwise_hops
 from repro.cluster.machine import Machine, MachineConfig
 from repro.cluster.network import NetworkModel, NetworkParams
-from repro.cluster.topology import Torus3D
 
 __all__ = [
-    "allocate",
-    "average_pairwise_hops",
     "Machine",
     "MachineConfig",
     "NetworkModel",
     "NetworkParams",
-    "Torus3D",
 ]

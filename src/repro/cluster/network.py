@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from repro.cluster.machine import Machine
-from repro.cluster.topology import Torus3D
 from repro.errors import ConfigError
 from repro.sim.engine import Engine
 from repro.sim.resources import FIFOResource
@@ -41,12 +40,9 @@ class NetworkParams:
     memcpy_bandwidth: float = 3.0e9
     #: messages at or below this size use the eager protocol
     eager_threshold: int = 65536
-    #: extra latency per torus hop (0 disables topology sensitivity)
-    hop_latency: float = 0.0
 
     def __post_init__(self) -> None:
-        if min(self.latency, self.send_overhead, self.recv_overhead,
-               self.hop_latency) < 0:
+        if min(self.latency, self.send_overhead, self.recv_overhead) < 0:
             raise ConfigError("network latencies/overheads must be >= 0")
         if self.bandwidth <= 0 or self.memcpy_bandwidth <= 0:
             raise ConfigError("network bandwidths must be > 0")
@@ -58,21 +54,10 @@ class NetworkModel:
     """Owns the per-node NIC resources and computes message timings."""
 
     def __init__(self, engine: Engine, machine: Machine,
-                 params: Optional[NetworkParams] = None,
-                 topology: Optional[Torus3D] = None,
-                 node_slots=None):
+                 params: Optional[NetworkParams] = None):
         self.engine = engine
         self.machine = machine
         self.params = params or NetworkParams()
-        self.topology = topology
-        #: optional node -> torus-slot mapping (allocation policy)
-        self.node_slots = node_slots
-        if topology is not None and topology.nnodes < machine.nnodes:
-            raise ConfigError(
-                f"torus has {topology.nnodes} slots for {machine.nnodes} nodes"
-            )
-        if node_slots is not None and len(node_slots) < machine.nnodes:
-            raise ConfigError("node_slots must cover every node")
         p = self.params
         self.tx = [
             FIFOResource(engine, f"nic-tx-{n}", rate=p.bandwidth,
@@ -89,19 +74,9 @@ class NetworkModel:
         #: messages that actually crossed the interconnect (not memcpy)
         self.cross_node_messages = 0
         self.cross_node_bytes = 0
-        # hot-path caches: plain-python rank->node table (numpy scalar
-        # extraction is ~10x a list index) and the flat-latency flag
+        # hot-path cache: plain-python rank->node table (numpy scalar
+        # extraction is ~10x a list index)
         self._node_of = [int(n) for n in machine.node_of]
-        self._flat_wire = topology is None or p.hop_latency <= 0
-
-    def wire_latency(self, src_node: int, dst_node: int) -> float:
-        lat = self.params.latency
-        if self.topology is not None and self.params.hop_latency > 0:
-            a, b = src_node, dst_node
-            if self.node_slots is not None:
-                a, b = int(self.node_slots[a]), int(self.node_slots[b])
-            lat += self.params.hop_latency * self.topology.hops(a, b)
-        return lat
 
     def transfer(self, src_rank: int, dst_rank: int, nbytes: int,
                  now: Optional[float] = None) -> tuple[float, float]:
@@ -141,11 +116,7 @@ class NetworkModel:
             stime = tx.overhead + nbytes / tx.rate
             tx_done = start + stime
             tx.busy_until = tx_done
-            tx_start = tx_done - stime
-            if self._flat_wire:
-                first_byte = tx_start + p.latency
-            else:
-                first_byte = tx_start + self.wire_latency(src_node, dst_node)
+            first_byte = tx_done - stime + p.latency
             busy = rx.busy_until
             start = first_byte if first_byte > busy else busy
             stime = rx.overhead + nbytes / rx.rate
@@ -153,11 +124,7 @@ class NetworkModel:
             rx.busy_until = arrival
             return tx_done, arrival
         tx_start, tx_done = tx.reserve_span(now, nbytes)
-        if self._flat_wire:
-            first_byte = tx_start + p.latency
-        else:
-            first_byte = tx_start + self.wire_latency(src_node, dst_node)
-        arrival = rx.reserve_span(first_byte, nbytes)[1]
+        arrival = rx.reserve_span(tx_start + p.latency, nbytes)[1]
         return tx_done, arrival
 
     def transfer_batch(self, src_rank: int, dst_ranks, sizes
@@ -197,12 +164,7 @@ class NetworkModel:
             tx = self.tx[src_node]
             tx_starts, tx_dones = tx.reserve_batch(
                 np.full(idx.size, now), rsizes)
-            if self._flat_wire:
-                first_bytes = tx_starts + p.latency
-            else:
-                first_bytes = tx_starts + np.array(
-                    [self.wire_latency(src_node, int(dn))
-                     for dn in dst_nodes[idx]])
+            first_bytes = tx_starts + p.latency
             frees[idx] = tx_dones
             rnodes = dst_nodes[idx]
             for dn in np.unique(rnodes):

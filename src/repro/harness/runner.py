@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
-from repro.cluster import MachineConfig, NetworkParams, Torus3D
+from repro.cluster import MachineConfig, NetworkParams
 from repro.errors import ConfigError
 from repro.lustre import LustreFS, LustreParams
 from repro.mpiio import MPIIO
@@ -47,7 +47,6 @@ class ExperimentConfig:
     #: explicit ``protocol`` hint; None keeps the library default
     #: ('ext2ph')
     protocol: Optional[str] = None
-    use_torus: bool = False
     net: dict = field(default_factory=dict)
     lustre: dict = field(default_factory=dict)
     seed: int = 0
@@ -55,7 +54,7 @@ class ExperimentConfig:
     retry: dict = field(default_factory=dict)
     #: run the :mod:`repro.validate` correctness oracle: True forces it
     #: on, False leaves the platform default (the ``REPRO_VALIDATE``
-    #: environment variable / ``parcoll_validate`` hint still apply)
+    #: environment variable still applies)
     validate: bool = False
     #: engine shards for the sharded parallel DES (:mod:`repro.shard`):
     #: >1 partitions the event space along FA-subgroup boundaries into
@@ -76,9 +75,7 @@ class ExperimentConfig:
         injector = None
         if not plan.is_empty:
             injector = FaultInjector(plan, seed=self.seed)
-        topology = Torus3D.fit(machine.nnodes) if self.use_torus else None
         world = World(machine, net_params=NetworkParams(**self.net),
-                      topology=topology,
                       collective_mode=self.collective_mode,
                       faults=injector)
         lustre_kw = {"store_data": False, **self.lustre}

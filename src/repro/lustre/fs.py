@@ -147,7 +147,7 @@ class LustreFS:
         if faults is not None:
             for i, res in enumerate(self.osts):
                 res.profile = faults.ost_profile(i)
-        #: default RetryPolicy for faulted RPCs (hints may override per file)
+        #: RetryPolicy for faulted RPCs
         if retry is None:
             from repro.faults.retry import RetryPolicy
 
@@ -264,10 +264,9 @@ class LustreFS:
         return self._retry_accum.pop(client, (0.0, 0))
 
     def _do_io(self, f: LustreFile, client: int, offsets, lengths,
-               mode: str, retry: Optional["object"] = None) -> float:
+               mode: str) -> float:
         """Reserve OST time for the access; returns the completion time."""
         p = self.params
-        policy = retry if retry is not None else self.retry
         chunk_off, chunk_len, chunk_ost = f.layout.chunks(offsets, lengths)
         if chunk_len.size == 0:
             return self.engine.now
@@ -311,7 +310,8 @@ class LustreFS:
                 # a lost RPC dies in transit: the OST is never occupied,
                 # the client just re-issues after timeout + backoff, so
                 # the request reaches the server `delay` seconds late
-                delay, failures = self.faults.rpc_delay(ost, now, policy)
+                delay, failures = self.faults.rpc_delay(ost, now,
+                                                        self.retry)
                 if failures:
                     self.faults.record_retry(ost, delay, failures)
                     held_s, held_n = self._retry_accum.get(client, (0.0, 0))
@@ -332,8 +332,7 @@ class LustreFS:
         return done + p.client_overhead
 
     def write(self, f: LustreFile, client: int, offsets, lengths,
-              data: Optional[np.ndarray] = None,
-              retry: Optional["object"] = None
+              data: Optional[np.ndarray] = None
               ) -> Generator[Any, Any, int]:
         """Write segments (densely packed ``data``) as one client operation.
 
@@ -363,7 +362,7 @@ class LustreFS:
                 f.store.write_segments(offsets, lengths, flat)
             for off, ln in zip(offsets.tolist(), lengths.tolist()):
                 f.tracker.write(off, ln)
-            return self._do_io(f, client, offsets, lengths, "w", retry=retry)
+            return self._do_io(f, client, offsets, lengths, "w")
 
         done = yield from self._commit(client, commit)
         del data, flat, commit
@@ -371,17 +370,14 @@ class LustreFS:
         yield Sleep(done - self.engine.now)
         return total
 
-    def read(self, f: LustreFile, client: int, offsets, lengths,
-             retry: Optional["object"] = None
+    def read(self, f: LustreFile, client: int, offsets, lengths
              ) -> Generator[Any, Any, Optional[np.ndarray]]:
         """Read segments; returns densely packed bytes (None in model mode)."""
         offsets = np.asarray(offsets, dtype=np.int64).ravel()
         lengths = np.asarray(lengths, dtype=np.int64).ravel()
         total = int(lengths.sum())
         done = yield from self._commit(
-            client,
-            lambda: self._do_io(f, client, offsets, lengths, "r",
-                                retry=retry))
+            client, lambda: self._do_io(f, client, offsets, lengths, "r"))
         self.bytes_read += total
         yield Sleep(done - self.engine.now)
         if f.store is None:

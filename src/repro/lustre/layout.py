@@ -83,12 +83,3 @@ class StripeLayout:
         idx = np.searchsorted(osts, costs)
         np.add.at(sums, idx, clens)
         return {int(o): int(s) for o, s in zip(osts, sums)}
-
-    def aligned_boundaries(self, lo: int, hi: int) -> np.ndarray:
-        """Stripe boundaries within [lo, hi] — candidate file-domain cuts."""
-        S = self.stripe_size
-        first = -(-lo // S)
-        last = hi // S
-        if first > last:
-            return np.empty(0, dtype=np.int64)
-        return np.arange(first, last + 1, dtype=np.int64) * S

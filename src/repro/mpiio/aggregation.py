@@ -4,10 +4,8 @@ Default aggregator choice follows ROMIO on clusters: one process per
 physical node, in node order, optionally capped by the ``cb_nodes`` hint
 or replaced outright by an explicit ``cb_config_ranks`` list.
 
-File domains: the accessed byte range ``[fd_min, fd_max)`` is divided into
-one contiguous domain per aggregator — evenly, or snapped to stripe
-boundaries when ``align_file_domains`` is set (avoids two aggregators
-sharing an OST object and ping-ponging its lock).
+File domains: the accessed byte range ``[fd_min, fd_max)`` is divided
+evenly into one contiguous domain per aggregator.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ import numpy as np
 
 from repro.cluster.machine import Machine
 from repro.errors import ConfigError, MPIIOError
-from repro.lustre.layout import StripeLayout
 from repro.mpiio.hints import IOHints
 
 
@@ -49,14 +46,12 @@ def default_aggregators(member_world_ranks: list[int], machine: Machine,
     return aggs
 
 
-def partition_file_domains(fd_min: int, fd_max: int, naggs: int,
-                           align: StripeLayout | None = None
+def partition_file_domains(fd_min: int, fd_max: int, naggs: int
                            ) -> tuple[np.ndarray, np.ndarray]:
     """Split ``[fd_min, fd_max)`` into ``naggs`` contiguous domains.
 
     Returns ``(starts, ends)`` arrays of length ``naggs`` (empty domains
-    allowed: start == end).  With ``align`` given, interior boundaries snap
-    to the nearest stripe boundary.
+    allowed: start == end).
     """
     if naggs <= 0:
         raise MPIIOError(f"need at least one aggregator, got {naggs}")
@@ -71,11 +66,6 @@ def partition_file_domains(fd_min: int, fd_max: int, naggs: int,
     bounds[0] = fd_min
     np.cumsum(sizes, out=bounds[1:])
     bounds[1:] += fd_min
-    if align is not None and span > 0:
-        S = align.stripe_size
-        snapped = ((bounds[1:-1] + S // 2) // S) * S
-        bounds[1:-1] = np.clip(snapped, fd_min, fd_max)
-        bounds = np.maximum.accumulate(bounds)  # keep monotone
     return bounds[:-1].copy(), bounds[1:].copy()
 
 

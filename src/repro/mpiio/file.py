@@ -36,49 +36,38 @@ from repro.mpiio.two_phase import IOEnv, collective_read, collective_write
 from repro.simmpi.world import Communicator, World
 
 
-def _parcoll_write(env, segs, data, state, view):
+def _parcoll_write(env, segs, data, state):
     # imported on first use: repro.parcoll itself imports repro.mpiio
     from repro.parcoll.driver import parcoll_write
 
-    return parcoll_write(env, segs, data, state, view)
+    return parcoll_write(env, segs, data, state)
 
 
-def _parcoll_read(env, segs, state, view):
+def _parcoll_read(env, segs, state):
     from repro.parcoll.driver import parcoll_read
 
-    return parcoll_read(env, segs, state, view)
+    return parcoll_read(env, segs, state)
 
 
 #: the ``protocol`` hint's values -> ``(write, read)``: generator
-#: functions ``write(env, segs, data, state, view)`` (returns the bytes
-#: this rank wrote) and ``read(env, segs, state, view)`` (returns dense
-#: bytes, None in model mode) that every rank of the communicator runs.
-#: ``state`` is the protocol's slot of the shared file handle.
+#: functions ``write(env, segs, data, state)`` (returns the bytes this
+#: rank wrote) and ``read(env, segs, state)`` (returns dense bytes, None
+#: in model mode) that every rank of the communicator runs.  ``state``
+#: is the protocol's slot of the shared file handle.
 PROTOCOLS: dict[str, tuple[Callable, Callable]] = {
     # the paper's baseline: extended two-phase over the whole communicator
-    "ext2ph": (lambda env, segs, data, state, view:
+    "ext2ph": (lambda env, segs, data, state:
                collective_write(env, segs, data),
-               lambda env, segs, state, view: collective_read(env, segs)),
+               lambda env, segs, state: collective_read(env, segs)),
     # the paper's "w/o Coll": every rank issues its own file operations
-    "independent": (lambda env, segs, data, state, view:
+    "independent": (lambda env, segs, data, state:
                     independent_write(env, segs, data),
-                    lambda env, segs, state, view:
-                    independent_read(env, segs)),
+                    lambda env, segs, state: independent_read(env, segs)),
     # cores funnel their requests to a node leader (Kang et al.)
-    "nodeagg": (lambda env, segs, data, state, view:
-                nodeagg_write(env, segs, data, state),
-                lambda env, segs, state, view:
-                nodeagg_read(env, segs, state)),
+    "nodeagg": (nodeagg_write, nodeagg_read),
     # the paper's partitioned collective I/O
     "parcoll": (_parcoll_write, _parcoll_read),
 }
-
-#: hints whose change invalidates cached per-protocol shared state:
-#: the protocol itself, plus everything a cached grouping / aggregator
-#: placement / leader split was derived from
-_STATE_HINTS = ("protocol", "parcoll_ngroups", "parcoll_intermediate_views",
-                "parcoll_data_path", "parcoll_replan", "cb_nodes",
-                "cb_config_ranks", "cb_buffer_size", "align_file_domains")
 
 
 class _SharedFile:
@@ -114,8 +103,7 @@ class MPIIO:
     ``validate`` turns on the :mod:`repro.validate` correctness oracle
     for every file opened through this instance: ``True``/``False`` are
     explicit, ``None`` (default) defers to the ``REPRO_VALIDATE``
-    environment variable.  Files may override per open via the
-    ``parcoll_validate`` hint.
+    environment variable.
     """
 
     def __init__(self, world: World, fs: LustreFS,
@@ -137,21 +125,6 @@ class MPIIO:
             from repro.validate import Validator
 
             self.validator = Validator()
-
-    def _hint_validator(self, hints: IOHints):
-        """The validator a file with ``hints`` should use (or None).
-
-        A ``parcoll_validate=True`` hint on a non-validating platform
-        creates the shared validator lazily, so single-file validation
-        needs no platform plumbing.
-        """
-        if hints.parcoll_validate is False:
-            return None
-        if hints.parcoll_validate and self.validator is None:
-            from repro.validate import Validator
-
-            self.validator = Validator()
-        return self.validator
 
     def open(self, comm: Communicator, name: str,
              hints: Optional[IOHints | dict] = None,
@@ -194,7 +167,7 @@ class MPIFile:
         self._open_snapshot = comm.proc.breakdown.snapshot()
         self._closed = False
         #: active correctness oracle for this file (None = off)
-        self._validator = io._hint_validator(hints)
+        self._validator = io.validator
 
     def _hinted_comm(self) -> Communicator:
         """The file's working communicator: the caller's, with the
@@ -212,22 +185,7 @@ class MPIFile:
     def _env(self) -> IOEnv:
         return IOEnv(comm=self.comm, machine=self.io.world.machine,
                      fs=self.io.fs, lfile=self.lfile, hints=self.hints,
-                     retry=self._retry_policy(), validator=self._validator)
-
-    def _retry_policy(self):
-        """Effective RetryPolicy: the fs default plus any hint overrides.
-
-        None (no overrides) keeps the platform policy — the env then
-        defers to ``fs.retry`` at each call, so zero-fault runs build no
-        policy objects at all.
-        """
-        overrides = self.hints.retry_overrides()
-        if not overrides:
-            return None
-        try:
-            return self.io.fs.retry.with_(**overrides)
-        except Exception as exc:  # ConfigError from RetryPolicy validation
-            raise MPIIOError(f"invalid retry hints: {exc}") from exc
+                     validator=self._validator)
 
     def set_view(self, disp: int = 0, etype: Datatype = BYTE,
                  filetype: Optional[Datatype] = None) -> None:
@@ -240,19 +198,17 @@ class MPIFile:
         """Adjust hints on an open file (e.g. switch protocol per phase).
 
         Like ``MPI_File_set_info`` this is called symmetrically on every
-        rank.  Changing the protocol or any hint a cached grouping was
-        derived from (:data:`_STATE_HINTS`) drops the per-protocol shared
-        state: a ParColl partition plan or a nodeagg leader communicator
+        rank.  Changing any hint drops the per-protocol shared state:
+        every hint shapes some cached state (a ParColl partition plan,
+        the subgroup or leader communicators split from the file's
+        communicator and its ``collective_mode`` backend), and state
         cached under the old hints must not leak into the new epoch.
         """
         old = self.hints
         self.hints = old.with_(**kwargs)
         if "collective_mode" in kwargs:
             self.comm = self._hinted_comm()
-        if "parcoll_validate" in kwargs:
-            self._validator = self.io._hint_validator(self.hints)
-        if any(getattr(old, h) != getattr(self.hints, h)
-               for h in _STATE_HINTS):
+        if self.hints != old:
             self.shared.invalidate_state()
 
     def set_info(self, info: Mapping[str, Any]) -> None:
@@ -332,7 +288,7 @@ class MPIFile:
         if self._validator is not None:
             self._validator.record_write(self.lfile, segs, payload)
         (write, _read), state = self._dispatch()
-        written = yield from write(env, segs, payload, state, self.view)
+        written = yield from write(env, segs, payload, state)
         if self._validator is not None:
             self._validator.after_collective_write(self.lfile, self.comm.size)
         return written
@@ -344,7 +300,7 @@ class MPIFile:
         segs = self._access(offset_et, nbytes)
         env = self._env()
         (_write, read), state = self._dispatch()
-        out = yield from read(env, segs, state, self.view)
+        out = yield from read(env, segs, state)
         if self._validator is not None:
             self._validator.check_read(self.lfile, segs, out)
         return out
@@ -373,14 +329,8 @@ class MPIFile:
     # independent operations
     # ------------------------------------------------------------------
     def write_at(self, offset_et: int, data: Optional[np.ndarray] = None,
-                 nbytes: Optional[int] = None, data_sieving: bool = False
-                 ) -> Generator[Any, Any, int]:
-        """Independent write at an explicit offset (etype units).
-
-        ``data_sieving`` enables the read-modify-write sieve path for
-        fragmented accesses (MPI-IO default nonatomic semantics: sieved
-        windows of concurrently-writing processes must not overlap).
-        """
+                 nbytes: Optional[int] = None) -> Generator[Any, Any, int]:
+        """Independent write at an explicit offset (etype units)."""
         self._check_open()
         n = self._data_nbytes(data, nbytes)
         segs = self._access(offset_et, n)
@@ -388,31 +338,19 @@ class MPIFile:
         token = None
         if self._validator is not None:
             token = self._validator.record_write(self.lfile, segs, payload)
-            if data_sieving:
-                # sieve windows read-modify-write bytes outside segs
-                self._validator.shadow(
-                    self.lfile.name,
-                    self.lfile.store is not None).exact_coverage = False
-        if data_sieving:
-            from repro.mpiio.data_sieving import sieved_write
-
-            written = yield from sieved_write(self._env(), segs, payload)
-        else:
-            written = yield from independent_write(self._env(), segs,
-                                                   payload)
+        written = yield from independent_write(self._env(), segs, payload)
         if self._validator is not None:
             # the calling rank applied its own bytes, so call return
             # means the write landed: retire its happens-before token
             self._validator.after_write(self.lfile, token)
         return written
 
-    def read_at(self, offset_et: int, nbytes: int, data_sieving: bool = False
+    def read_at(self, offset_et: int, nbytes: int
                 ) -> Generator[Any, Any, Optional[np.ndarray]]:
         """Independent read at an explicit offset (etype units)."""
         self._check_open()
         segs = self._access(offset_et, nbytes)
-        out = yield from independent_read(self._env(), segs,
-                                          data_sieving=data_sieving)
+        out = yield from independent_read(self._env(), segs)
         if self._validator is not None:
             # oracle-checked only when the read provably happens after
             # every overlapping write (shadow happens-before tracker)

@@ -9,7 +9,7 @@ subgroup count (``parcoll_ngroups``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional
 
 from repro.errors import MPIError, MPIIOError
@@ -51,34 +51,12 @@ class IOHints:
     #: allreduce per call, so subgroups re-synchronize like 'always' but
     #: skip the extent allgather and regrouping while the pattern holds
     parcoll_replan: str = "once"
-    #: align file-domain boundaries to stripe boundaries
-    align_file_domains: bool = False
-    #: overlap the aggregator's file write of round r with round r+1's
-    #: exchange (the split-phase collective I/O of the paper's related
-    #: work [13], realized with background tasks instead of threads —
-    #: Catamount has none, which is why the paper could not use it)
-    pipelined_io: bool = False
     #: collective-fidelity backend spec for this file's collectives
     #: ('analytic', 'detailed', 'macro', 'hybrid[:<spec>]',
     #: 'scoped[:<spec>]'; see :mod:`repro.simmpi.backends`); None
     #: inherits the world's backend.  Every rank opens with the same
     #: hints, so the override is installed symmetrically.
     collective_mode: Optional[str] = None
-    #: run the :mod:`repro.validate` correctness oracle on this file's
-    #: operations: True forces validation on, False forces it off, None
-    #: (default) inherits the platform's setting (ExperimentConfig
-    #: ``validate`` field / CLI ``--validate`` / ``REPRO_VALIDATE``).
-    #: All ranks open with the same hints, so the choice is symmetric.
-    parcoll_validate: Optional[bool] = None
-    #: RPC retry-policy overrides for this file (only consulted under an
-    #: active fault plan); None inherits the platform's RetryPolicy.
-    #: retry_max_attempts=1 disables retry: the first lost RPC raises
-    #: FaultExhaustedError.
-    retry_max_attempts: Optional[int] = None
-    retry_timeout: Optional[float] = None
-    retry_backoff_base: Optional[float] = None
-    retry_backoff_factor: Optional[float] = None
-    retry_jitter: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.cb_buffer_size <= 0:
@@ -115,35 +93,6 @@ class IOHints:
                 raise MPIIOError("cb_config_ranks must not be empty")
             if len(set(self.cb_config_ranks)) != len(self.cb_config_ranks):
                 raise MPIIOError("cb_config_ranks contains duplicates")
-        if self.parcoll_validate is not None and not isinstance(
-                self.parcoll_validate, bool):
-            raise MPIIOError(
-                f"parcoll_validate must be True, False or None, "
-                f"got {self.parcoll_validate!r}")
-        if self.retry_max_attempts is not None and self.retry_max_attempts < 1:
-            raise MPIIOError("retry_max_attempts must be >= 1")
-        if self.retry_timeout is not None and self.retry_timeout <= 0:
-            raise MPIIOError("retry_timeout must be > 0")
-        if self.retry_backoff_base is not None and self.retry_backoff_base < 0:
-            raise MPIIOError("retry_backoff_base must be >= 0")
-        if (self.retry_backoff_factor is not None
-                and self.retry_backoff_factor < 1.0):
-            raise MPIIOError("retry_backoff_factor must be >= 1")
-        if self.retry_jitter is not None and self.retry_jitter < 0:
-            raise MPIIOError("retry_jitter must be >= 0")
-
-    def retry_overrides(self) -> dict[str, Any]:
-        """The non-None retry_* fields as RetryPolicy keyword overrides."""
-        out = {}
-        for hint, kw in (("retry_max_attempts", "max_attempts"),
-                         ("retry_timeout", "timeout"),
-                         ("retry_backoff_base", "backoff_base"),
-                         ("retry_backoff_factor", "backoff_factor"),
-                         ("retry_jitter", "jitter")):
-            val = getattr(self, hint)
-            if val is not None:
-                out[kw] = val
-        return out
 
     @classmethod
     def from_dict(cls, info: Mapping[str, Any]) -> "IOHints":

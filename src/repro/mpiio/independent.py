@@ -5,10 +5,6 @@ the file-system operation itself — no coordination, no aggregation.  This
 is the paper's "Cray w/o Coll" configuration: fine for large contiguous
 requests, catastrophic for fine-grained interleaved access (every client
 fights for OST locks and pays per-RPC overheads on small chunks).
-
-An optional data-sieving read mode reads the whole spanned extent in one
-operation and filters in memory when the access is fragmented but dense —
-mirroring ROMIO's independent-read optimization.
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ from typing import Any, Generator, Optional
 import numpy as np
 
 from repro.datatypes.flatten import Segments
-from repro.datatypes.packing import gather_segments
 from repro.mpiio.two_phase import IOEnv
 
 
@@ -33,41 +28,20 @@ def independent_write(env: IOEnv, segs: Segments,
         return 0
     t0 = comm.now
     yield from env.fs.write(env.lfile, client=comm.proc.rank,
-                            offsets=offs, lengths=lens, data=data,
-                            retry=env.retry)
+                            offsets=offs, lengths=lens, data=data)
     env.charge_io(t0)
     return total
 
 
-def independent_read(env: IOEnv, segs: Segments,
-                     data_sieving: bool = False,
-                     sieve_density: float = 0.3
+def independent_read(env: IOEnv, segs: Segments
                      ) -> Generator[Any, Any, Optional[np.ndarray]]:
-    """Read my segments directly; returns dense bytes (None in model mode).
-
-    With ``data_sieving``, a fragmented-but-dense access (covered fraction
-    of its span at least ``sieve_density``) is served by one big read of
-    the span, then filtered in memory.
-    """
+    """Read my segments directly; returns dense bytes (None in model mode)."""
     comm = env.comm
     offs, lens = segs
-    total = int(lens.sum())
-    verified = env.lfile.store is not None
-    if total == 0:
-        return np.empty(0, np.uint8) if verified else None
+    if int(lens.sum()) == 0:
+        return np.empty(0, np.uint8) if env.lfile.store is not None else None
     t0 = comm.now
-    span = int(offs[-1] + lens[-1] - offs[0])
-    if data_sieving and offs.size > 1 and total >= sieve_density * span:
-        base = int(offs[0])
-        big = yield from env.fs.read(env.lfile, client=comm.proc.rank,
-                                     offsets=[base], lengths=[span],
-                                     retry=env.retry)
-        env.charge_io(t0)
-        if not verified:
-            return None
-        return gather_segments(big, offs - base, lens)
     out = yield from env.fs.read(env.lfile, client=comm.proc.rank,
-                                 offsets=offs, lengths=lens,
-                                 retry=env.retry)
+                                 offsets=offs, lengths=lens)
     env.charge_io(t0)
     return out

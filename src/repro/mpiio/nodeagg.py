@@ -103,7 +103,7 @@ def _inner_env(env: IOEnv, sub, fa: bool) -> IOEnv:
                             if env.hints.parcoll_replan == "once"
                             else env.hints.parcoll_replan)
     return IOEnv(comm=sub, machine=env.machine, fs=env.fs, lfile=env.lfile,
-                 hints=hints, retry=env.retry, validator=env.validator)
+                 hints=hints, validator=env.validator)
 
 
 def _charge_memcpy(env: IOEnv, nbytes: int) -> Generator[Any, Any, None]:

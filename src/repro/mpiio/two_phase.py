@@ -38,7 +38,7 @@ from repro.mpiio.aggregation import (default_aggregators, domain_of_offsets,
                                      partition_file_domains)
 from repro.mpiio.hints import IOHints
 from repro.perf import perf_counters
-from repro.sim.effects import Join, Sleep, Spawn
+from repro.sim.effects import Sleep
 from repro.simmpi.payload import Payload
 from repro.simmpi.reduce_ops import MAX
 from repro.simmpi.world import Communicator
@@ -61,8 +61,6 @@ class IOEnv:
     fs: LustreFS
     lfile: LustreFile
     hints: IOHints
-    #: effective RetryPolicy for this file's RPCs (None = the fs default)
-    retry: Optional[object] = None
     #: active correctness oracle (:class:`repro.validate.Validator`);
     #: None = validation off, the hooks below cost nothing
     validator: Optional[object] = None
@@ -77,8 +75,8 @@ class IOEnv:
         Pops the retry seconds the file system accumulated for this rank
         since the last charge and books them as ``fault_retry`` (count =
         lost RPCs); the remainder stays 'io'.  Capped at the elapsed
-        wall time: retries of an overlapped (pipelined) write may hide
-        under exchange time already charged elsewhere.
+        time: each OST's lost RPCs delay its request from the same
+        start, so one call's retry seconds can sum past its duration.
         """
         elapsed = self.comm.now - t0
         retry_s, failures = self.fs.take_retry(self.comm.proc.rank)
@@ -130,9 +128,7 @@ def _file_domains(env: IOEnv, extents: list) -> Optional[tuple]:
     """
     comm = env.comm
     hints = env.hints
-    align = env.lfile.layout if hints.align_file_domains else None
-    key = (comm._op_seq, hints.cb_config_ranks, hints.cb_nodes,
-           None if align is None else align.stripe_size)
+    key = (comm._op_seq, hints.cb_config_ranks, hints.cb_nodes)
     held = comm.desc.domains
     if held is not None and held[0] == key:
         return held[1]
@@ -142,7 +138,7 @@ def _file_domains(env: IOEnv, extents: list) -> Optional[tuple]:
     if ext.size:
         aggs = default_aggregators(comm.desc.members, env.machine, hints)
         starts, ends = partition_file_domains(
-            int(ext[:, 0].min()), int(ext[:, 1].max()), len(aggs), align)
+            int(ext[:, 0].min()), int(ext[:, 1].max()), len(aggs))
         domains = (aggs, {r: i for i, r in enumerate(aggs)}, starts, ends)
     comm.desc.domains = (key, domains)
     return domains
@@ -306,7 +302,6 @@ def collective_write(env: IOEnv, segs: Segments,
 
     memcpy_bw = comm.world.network.params.memcpy_bandwidth
     use_batch = comm.backend.fidelity("exchange", comm=comm) == "macro"
-    pending: list = []
     plan = plan_rounds(segs, starts, ends, cb)
     if env.validator is not None:
         env.validator.check_exchange_plan(segs, plan, ntimes)
@@ -338,15 +333,9 @@ def collective_write(env: IOEnv, segs: Segments,
             reqs = comm.isend_batch(batch, tag=TP_TAG + rnd)
         if my_idx >= 0:
             yield from _aggregate_and_write(env, all_counts, pieces,
-                                            rnd, memcpy_bw, pending)
+                                            rnd, memcpy_bw)
         if reqs:
             yield from comm.waitall(reqs, category="exchange")
-    if pending:
-        # split-phase: wait for the overlapped writes to drain
-        t0 = comm.now
-        for task in pending:
-            yield Join(task)
-        env.charge_io(t0)
     return total
 
 
@@ -391,8 +380,7 @@ def _sources(all_counts: np.ndarray, me: int) -> list[int]:
 
 
 def _aggregate_and_write(env: IOEnv, all_counts: np.ndarray,
-                         pieces: list, rnd: int, memcpy_bw: float,
-                         pending: Optional[list] = None
+                         pieces: list, rnd: int, memcpy_bw: float
                          ) -> Generator[Any, Any, None]:
     """Aggregator side of one write round: collect, merge, write.
 
@@ -400,11 +388,6 @@ def _aggregate_and_write(env: IOEnv, all_counts: np.ndarray,
     the received pieces join it, and the list is emptied once merged.
     The merged window lives only until the file system has copied it
     into the store.
-
-    With ``pipelined_io`` the file write runs as a background task
-    (double-buffered split-phase I/O): the aggregator proceeds to the
-    next round's exchange while the OST drains this round's window, and
-    the caller joins all outstanding writes after the last round.
     """
     comm = env.comm
     recv_reqs = [comm.irecv(source=s, tag=TP_TAG + rnd)
@@ -431,12 +414,8 @@ def _aggregate_and_write(env: IOEnv, all_counts: np.ndarray,
     env.breakdown.add("compute", copy_t)
     write_gen = env.fs.write(env.lfile, client=comm.proc.rank,
                              offsets=w_offs, lengths=w_lens,
-                             data=merged_data, retry=env.retry)
+                             data=merged_data)
     del merged_data  # the write drops it once committed
-    if pending is not None and env.hints.pipelined_io:
-        task = yield Spawn(write_gen, ("pipelined-write", rnd))
-        pending.append(task)
-        return
     t0 = comm.now
     yield from write_gen
     env.charge_io(t0)
@@ -543,8 +522,7 @@ def _read_and_reply(env: IOEnv, all_counts: np.ndarray, local_want,
                      np.concatenate([r[1][1] for r in requests]))
     t0 = comm.now
     union_data = yield from env.fs.read(env.lfile, client=comm.proc.rank,
-                                        offsets=union[0], lengths=union[1],
-                                        retry=env.retry)
+                                        offsets=union[0], lengths=union[1])
     env.charge_io(t0)
     nbytes = int(union[1].sum())
     copy_t = nbytes / memcpy_bw

@@ -191,7 +191,7 @@ def _prepare(env: IOEnv, segs: Segments, cache: dict
 
 
 def parcoll_write(env: IOEnv, segs: Segments, data: Optional[np.ndarray],
-                  cache: dict, view=None) -> Generator[Any, Any, int]:
+                  cache: dict) -> Generator[Any, Any, int]:
     """Partitioned collective write; returns bytes written by this rank.
 
     Under an intermediate view, the grouping came from logical space; the
@@ -201,21 +201,19 @@ def parcoll_write(env: IOEnv, segs: Segments, data: Optional[np.ndarray],
     """
     plan, subcomm, sub_hints, iview = yield from _prepare(env, segs, cache)
     sub_env = IOEnv(comm=subcomm, machine=env.machine, fs=env.fs,
-                    lfile=env.lfile, hints=sub_hints, retry=env.retry,
-                    validator=env.validator)
+                    lfile=env.lfile, hints=sub_hints, validator=env.validator)
     if iview is not None and env.hints.parcoll_data_path == "logical":
         return (yield from collective_write(sub_env, iview.logical_segments,
                                             data, translate=iview.translate))
     return (yield from collective_write(sub_env, segs, data))
 
 
-def parcoll_read(env: IOEnv, segs: Segments, cache: dict, view=None
+def parcoll_read(env: IOEnv, segs: Segments, cache: dict
                  ) -> Generator[Any, Any, Optional[np.ndarray]]:
     """Partitioned collective read; returns this rank's dense bytes."""
     plan, subcomm, sub_hints, iview = yield from _prepare(env, segs, cache)
     sub_env = IOEnv(comm=subcomm, machine=env.machine, fs=env.fs,
-                    lfile=env.lfile, hints=sub_hints, retry=env.retry,
-                    validator=env.validator)
+                    lfile=env.lfile, hints=sub_hints, validator=env.validator)
     if iview is not None and env.hints.parcoll_data_path == "logical":
         return (yield from collective_read(sub_env, iview.logical_segments,
                                            translate=iview.translate))

@@ -242,16 +242,15 @@ class ShardCoordinator:
                               f.layout.n_osts, f.layout.start_ost,
                               f.store is not None)
             elif op == "write":
-                name, offsets, lengths, data, retry = args
+                name, offsets, lengths, data = args
                 f = fs.lookup(name)
                 total = self._run_op(fs.write(f, client, offsets, lengths,
-                                              data=data, retry=retry))
+                                              data=data))
                 value = (total, fs.take_retry(client))
             elif op == "read":
-                name, offsets, lengths, retry = args
+                name, offsets, lengths = args
                 f = fs.lookup(name)
-                data = self._run_op(fs.read(f, client, offsets, lengths,
-                                            retry=retry))
+                data = self._run_op(fs.read(f, client, offsets, lengths))
                 value = (data, fs.take_retry(client))
             elif op == "unlink":
                 self._run_op(fs.unlink(args[0], client=client))

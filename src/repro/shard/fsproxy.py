@@ -54,12 +54,9 @@ class RemoteOpError:
 class ShardFS:
     """Duck-typed :class:`~repro.lustre.LustreFS` backed by round trips."""
 
-    def __init__(self, engine, params: LustreParams, retry, runtime):
+    def __init__(self, engine, params: LustreParams, runtime):
         self.engine = engine
         self.params = params
-        #: default RetryPolicy (mirrors the coordinator's; hint overrides
-        #: are built locally and shipped with each request)
-        self.retry = retry
         self._rt = runtime
         self._files: dict[str, LustreFile] = {}
         self._retry_accum: dict[int, tuple[float, int]] = {}
@@ -112,8 +109,7 @@ class ShardFS:
                                          held_n + delta[1])
 
     def write(self, f: LustreFile, client: int, offsets, lengths,
-              data: Optional[np.ndarray] = None,
-              retry: Optional[object] = None) -> Generator[Any, Any, int]:
+              data: Optional[np.ndarray] = None) -> Generator[Any, Any, int]:
         offsets = np.asarray(offsets, dtype=np.int64).ravel()
         lengths = np.asarray(lengths, dtype=np.int64).ravel()
         total = int(lengths.sum())
@@ -131,18 +127,17 @@ class ShardFS:
         for off, ln in zip(offsets.tolist(), lengths.tolist()):
             f.tracker.write(off, ln)
         got, delta = yield from self._rt.fs_call(
-            client, "write", (f.name, offsets, lengths, flat, retry))
+            client, "write", (f.name, offsets, lengths, flat))
         self._add_retry(client, delta)
         self.bytes_written += total
         return got
 
-    def read(self, f: LustreFile, client: int, offsets, lengths,
-             retry: Optional[object] = None
+    def read(self, f: LustreFile, client: int, offsets, lengths
              ) -> Generator[Any, Any, Optional[np.ndarray]]:
         offsets = np.asarray(offsets, dtype=np.int64).ravel()
         lengths = np.asarray(lengths, dtype=np.int64).ravel()
         data, delta = yield from self._rt.fs_call(
-            client, "read", (f.name, offsets, lengths, retry))
+            client, "read", (f.name, offsets, lengths))
         self._add_retry(client, delta)
         self.bytes_read += int(lengths.sum())
         return data

@@ -31,9 +31,7 @@ The contract:
   (e.g. the ``analytic`` backend, ``scoped`` with ``world=analytic``, or
   ``hybrid:default=analytic``), because only analytic synchronization
   sites can be bridged across engines by merging (value, arrival) sets —
-  per-message detailed traffic cannot;
-* no torus topology: torus links are machine-global resources with no
-  per-shard ownership.
+  per-message detailed traffic cannot.
 
 Shared-OST reservations, the MDS, Lustre lock-manager state and fault
 RPC schedules remain machine-global; the coordinator owns the one real
@@ -142,8 +140,6 @@ def analyze(config: Any, workload_hints: Optional[Mapping[str, Any]] = None
         return fallback(
             f"shard boundary splits a node ({ranks_per_shard} ranks per "
             f"shard, {config.cores_per_node} cores per node)")
-    if config.use_torus:
-        return fallback("torus links are machine-global resources")
     world = resolve_backend(config.collective_mode).world_fidelities()
     if world != {"analytic"}:
         return fallback(

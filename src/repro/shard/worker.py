@@ -126,7 +126,7 @@ class ShardRuntime:
 
 def build_shard_platform(config, owned: range, runtime: ShardRuntime):
     """Mirror :meth:`ExperimentConfig.build` with shard-aware parts."""
-    from repro.faults import FaultInjector, FaultPlan, RetryPolicy
+    from repro.faults import FaultInjector, FaultPlan
 
     machine = MachineConfig(nprocs=config.nprocs,
                             cores_per_node=config.cores_per_node,
@@ -136,13 +136,11 @@ def build_shard_platform(config, owned: range, runtime: ShardRuntime):
     if not plan.is_empty:
         injector = FaultInjector(plan, seed=config.seed)
     world = ShardWorld(machine, net_params=NetworkParams(**config.net),
-                       topology=None,
                        collective_mode=config.collective_mode,
                        faults=injector, owned=owned, runtime=runtime)
     runtime.engine = world.engine
     lustre_kw = {"store_data": False, **config.lustre}
-    retry = RetryPolicy(**config.retry) if config.retry else RetryPolicy()
-    fs = ShardFS(world.engine, LustreParams(**lustre_kw), retry, runtime)
+    fs = ShardFS(world.engine, LustreParams(**lustre_kw), runtime)
     default_hints = ({"protocol": config.protocol}
                      if config.protocol is not None else None)
     io = MPIIO(world, fs, validate=True if config.validate else None,

@@ -2,8 +2,8 @@
 
 The engine executes *tasks* — trampolined Python generators — against a
 virtual clock.  Tasks block by yielding :mod:`effect <repro.sim.effects>`
-objects (``Sleep``, ``WaitEvent``, ``Spawn``, ``Join``); nested blocking
-calls compose with ``yield from``.  Execution order is fully deterministic:
+objects (``Sleep``, ``WaitEvent``); nested blocking calls compose with
+``yield from``.  Execution order is fully deterministic:
 events fire in (time, sequence-number) order and no wall-clock time or
 OS-level concurrency is involved.
 
@@ -11,7 +11,7 @@ This is the substrate on which :mod:`repro.simmpi` implements MPI and
 :mod:`repro.lustre` implements the parallel file system.
 """
 
-from repro.sim.effects import Join, Sleep, Spawn, WaitEvent
+from repro.sim.effects import Sleep, WaitEvent
 from repro.sim.engine import Engine, Event, Task
 from repro.sim.resources import FIFOResource
 from repro.sim.rng import RngStreams
@@ -23,8 +23,6 @@ __all__ = [
     "Task",
     "Sleep",
     "WaitEvent",
-    "Spawn",
-    "Join",
     "FIFOResource",
     "RngStreams",
     "TraceRecorder",

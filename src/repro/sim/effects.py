@@ -1,19 +1,19 @@
 """Effect objects yielded by simulation tasks.
 
 A task is a generator.  Whenever it needs to interact with the virtual
-world — advance time, wait for a signal, start or join another task — it
-yields one of these effect objects and is resumed by the engine when the
-effect completes.  Blocking helpers in higher layers are themselves
-generators and are invoked with ``yield from``.
+world — advance time or wait for a signal — it yields one of these
+effect objects and is resumed by the engine when the effect completes.
+Blocking helpers in higher layers are themselves generators and are
+invoked with ``yield from``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.sim.engine import Event, Task
+    from repro.sim.engine import Event
 
 
 @dataclass(frozen=True)
@@ -34,22 +34,4 @@ class WaitEvent:
     event: "Event"
 
 
-@dataclass(frozen=True)
-class Spawn:
-    """Start ``gen`` as a new task; resumes immediately with the Task."""
-
-    gen: Generator[Any, Any, Any]
-    name: Optional[str] = None
-
-
-@dataclass(frozen=True)
-class Join:
-    """Suspend until ``task`` finishes; resumes with its return value.
-
-    If the joined task raised, the exception is re-raised in the joiner.
-    """
-
-    task: "Task"
-
-
-Effect = Sleep | WaitEvent | Spawn | Join
+Effect = Sleep | WaitEvent

@@ -17,11 +17,11 @@ Design notes
   ``call_at`` with an arbitrary callable remains available for
   higher-level code; the hot paths (task steps, event fires) use the
   dedicated kinds.
-* Tasks are trampolined generators.  ``_step`` resumes a task and
-  dispatches the effect it yields.  Effects that can complete immediately
-  (spawning, waiting on an already-fired event, joining a finished task)
-  are handled in a tight loop without touching the scheduler, which
-  matters: large collective-I/O runs execute millions of effects.
+* Tasks are trampolined generators, started with :meth:`Engine.spawn`.
+  ``_step`` resumes a task and dispatches the effect it yields.  Waiting
+  on an already-fired event completes immediately, in a tight loop
+  without touching the scheduler, which matters: large collective-I/O
+  runs execute millions of effects.
 * Diagnostic strings (task blocking state, event names) are kept as
   cheap tuples and rendered only when a diagnostic is actually printed —
   formatting them eagerly used to cost an f-string per message.
@@ -50,14 +50,13 @@ from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import DeadlockError, SimulationError, TaskFailedError
-from repro.sim.effects import Join, Sleep, Spawn, WaitEvent
+from repro.sim.effects import Sleep, WaitEvent
 
 _PENDING = object()
 
 #: scheduler entry kinds, dispatched in the run loop
 _K_FN = 0     # a()
 _K_STEP = 1   # engine._step(a, b)
-_K_THROW = 2  # engine._step(a, None, throw=b)
 _K_FIRE = 3   # a.fire(b)
 _K_CALL1 = 4  # a(b) — lets callers schedule a bound method + argument
               # without allocating a closure per call
@@ -136,7 +135,7 @@ class Task:
     a diagnostic actually needs it, so spawning costs no f-string.
     """
 
-    __slots__ = ("engine", "gen", "_name", "done", "result", "error", "_joiners",
+    __slots__ = ("engine", "gen", "_name", "done", "result", "error",
                  "state", "_tid")
 
     def __init__(self, engine: "Engine", gen: Generator[Any, Any, Any],
@@ -147,7 +146,6 @@ class Task:
         self.done = False
         self.result: Any = None
         self.error: Optional[BaseException] = None
-        self._joiners: list[Task] = []
         #: blocking state for deadlock diagnostics — a string or a lazy
         #: ``(verb, detail)`` tuple rendered by :meth:`describe`
         self.state: Any = "new"
@@ -172,8 +170,6 @@ class Task:
             return f"sleeping until t={detail:.9g}"
         if verb == "waiting":
             return f"waiting on event {_label(detail)!r}"
-        if verb == "joining":
-            return f"joining task {detail.name if type(detail) is Task else detail!r}"
         if verb == "failed":
             return f"failed: {detail!r}"
         return f"{verb}: {detail}"  # pragma: no cover - future-proofing
@@ -316,10 +312,10 @@ class Engine:
     # ------------------------------------------------------------------
     # trampoline
     # ------------------------------------------------------------------
-    def _step(self, task: Task, value: Any,
-              throw: Optional[BaseException] = None) -> None:
+    def _step(self, task: Task, value: Any) -> None:
         gen = task.gen
         send = gen.send
+        throw = None
         n = 0
         try:
             while True:
@@ -333,7 +329,7 @@ class Engine:
                 except StopIteration as stop:
                     self._finish(task, result=stop.value)
                     return
-                except BaseException as exc:  # noqa: BLE001 - propagate via joiners
+                except BaseException as exc:  # noqa: BLE001 - fails the run
                     self._finish(task, error=exc)
                     return
 
@@ -374,22 +370,6 @@ class Engine:
                     task.state = ("waiting", ev.name)
                     ev._waiters.append(task)
                     return
-                elif cls is Spawn:
-                    child = self.spawn(effect.gen, name=effect.name)
-                    value = child
-                    continue
-                elif cls is Join:
-                    target = effect.task
-                    if target.done:
-                        if target.error is not None:
-                            throw = target.error
-                            value = None
-                        else:
-                            value = target.result
-                        continue
-                    task.state = ("joining", target)
-                    target._joiners.append(task)
-                    return
                 else:
                     throw = SimulationError(
                         f"task {task.name!r} yielded a non-effect: {effect!r} "
@@ -407,19 +387,8 @@ class Engine:
         task.state = "done" if error is None else ("failed", error)
         if task._tid is not None:
             self._live_tasks.pop(task._tid, None)
-        joiners = task._joiners
-        if joiners:
-            task._joiners = []
-            ready = self._ready
-            self.heap_bypasses += len(joiners)
-            if error is not None:
-                for joiner in joiners:
-                    ready.append((_K_THROW, joiner, error))
-            else:
-                for joiner in joiners:
-                    ready.append((_K_STEP, joiner, result))
-        elif error is not None:
-            # No joiner will observe the failure: fail the whole run.
+        if error is not None:
+            # a failed task fails the whole run
             raise TaskFailedError(task.name, error) from error
 
     # ------------------------------------------------------------------
@@ -485,10 +454,8 @@ class Engine:
                         a.fire(b)
                     elif kind == _K_CALL1:
                         a(b)
-                    elif kind == _K_FN:
+                    else:  # _K_FN
                         a()
-                    else:  # _K_THROW
-                        step(a, None, throw=b)
                     kind, a, b = popleft()
             elif heap:
                 if until is not None and heap[0][0] > until and not ready:
@@ -509,10 +476,8 @@ class Engine:
                 a.fire(b)
             elif kind == _K_CALL1:
                 a(b)
-            elif kind == _K_FN:
+            else:  # _K_FN
                 a()
-            else:  # _K_THROW
-                step(a, None, throw=b)
         blocked = [task.describe() for task in self._live_tasks.values()
                    if not task.done]
         if blocked:
@@ -525,7 +490,8 @@ class Engine:
 
     def run_tasks(self, gens: list[Generator[Any, Any, Any]],
                   names: Optional[list[str]] = None) -> list[Any]:
-        """Spawn ``gens``, run to completion, return their results in order."""
+        """Start ``gens`` as tasks, run to completion, return their
+        results in order."""
         names = names or [None] * len(gens)
         tasks = [self.spawn(g, name=n) for g, n in zip(gens, names)]
         try:

@@ -19,7 +19,7 @@ The walk reproduces the engine's execution *bit-identically*:
   and the walker processes work through at most one engine callback per
   distinct timestamp, so every NIC reservation is issued at its true
   chronological engine moment, interleaved with concurrent
-  non-collective traffic (pipelined writes, point-to-point exchange)
+  non-collective traffic (file writes, point-to-point exchange)
   exactly as the per-message simulation would;
 * completion times come from the same
   :meth:`~repro.cluster.network.NetworkModel.transfer` NIC arithmetic in
@@ -220,7 +220,7 @@ class _Walker:
     walk advances in lockstep with the rest of the simulation.
     """
 
-    __slots__ = ("eng", "net", "eager", "cts_base", "node_of", "heap",
+    __slots__ = ("eng", "net", "eager", "cts_delay", "heap",
                  "initc", "wake_at", "wake_seq", "first_seq", "parked",
                  "unfinished")
 
@@ -228,8 +228,10 @@ class _Walker:
         self.eng = world.engine
         self.net = world.network
         self.eager = world._eager_threshold
-        self.cts_base = self.net.params.send_overhead
-        self.node_of = self.net._node_of
+        p = self.net.params
+        #: clear-to-send delay, its latency terms summed first — the
+        #: same float association as World._rendezvous_cts
+        self.cts_delay = p.latency + p.send_overhead
         self.heap: list[tuple] = []
         self.initc = 0
         self.wake_at = _INF
@@ -290,18 +292,14 @@ class _Walker:
         eng = self.eng
         net = self.net
         members = drv.members
-        node_of = self.node_of
         if code == 1:
             # rendezvous header delivered at the receiver
             src, dst, dstep, nb = arg
             pe = drv.pend[dst]
             if pe is not None and pe[0] == dstep:
                 # receive already posted: match, clear-to-send goes
-                # back (sum the latency terms first — same float
-                # association as World._rendezvous_cts)
-                cts = t + (net.wire_latency(
-                    node_of[members[dst]],
-                    node_of[members[src]]) + self.cts_base)
+                # back
+                cts = t + self.cts_delay
                 eng._seq += 1
                 self._push(cts, 0, eng._seq, 2, arg, drv)
             else:
@@ -337,15 +335,13 @@ class _Walker:
         task's continuation would have run at that position.
         """
         eng = self.eng
-        net = self.net
-        transfer = net.transfer
+        transfer = self.net.transfer
         members = drv.members
-        node_of = self.node_of
         pend = drv.pend
         inbox = drv.inbox
         step_i = drv.step_i
         eager = self.eager
-        cts_base = self.cts_base
+        cts_delay = self.cts_delay
         step = drv.steps[r]
         while True:
             k = step_i[r]
@@ -413,9 +409,7 @@ class _Walker:
             if ib[0] == "h":
                 # unmatched rendezvous header: posting the receive
                 # sends the clear-to-send immediately
-                cts = cur_t + (net.wire_latency(
-                    node_of[members[r]],
-                    node_of[members[ib[1]]]) + cts_base)
+                cts = cur_t + cts_delay
                 eng._seq += 1
                 self._push(cts, 0, eng._seq, 2, (ib[1], r, k, ib[2]), drv)
                 pend[r] = [k, sendT if has_send else 0.0,

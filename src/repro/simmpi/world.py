@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.cluster.machine import Machine, MachineConfig
 from repro.cluster.network import NetworkModel, NetworkParams
-from repro.cluster.topology import Torus3D
 from repro.errors import MPIError, ParCollError, TaskFailedError
 from repro.perf import perf_counters
 from repro.sim.effects import Sleep, WaitEvent
@@ -99,7 +98,6 @@ class World:
 
     def __init__(self, machine: Machine | MachineConfig,
                  net_params: Optional[NetworkParams] = None,
-                 topology: Optional[Torus3D] = None,
                  collective_mode: str | CollectiveBackend = "analytic",
                  engine: Optional[Engine] = None,
                  faults: Optional["object"] = None):
@@ -107,7 +105,7 @@ class World:
             machine = Machine(machine)
         self.engine = engine or Engine()
         self.machine = machine
-        self.network = NetworkModel(self.engine, machine, net_params, topology)
+        self.network = NetworkModel(self.engine, machine, net_params)
         #: hot-path cache (NetworkParams is frozen for the world's lifetime)
         self._eager_threshold = self.network.params.eager_threshold
         #: default backend for every communicator without an override
@@ -284,11 +282,9 @@ class World:
     def _rendezvous_cts(self, msg: Message, event: Event) -> None:
         """Rendezvous match: clear-to-send travels back, then data moves."""
         eng = self.engine
-        cts_latency = self.network.wire_latency(
-            self.machine.node_of_rank(msg.dst), self.machine.node_of_rank(msg.src)
-        ) + self.network.params.send_overhead
-        eng._sched(eng.now + cts_latency, _K_CALL1, self._start_transfer,
-                   (msg, event))
+        p = self.network.params
+        eng._sched(eng.now + (p.latency + p.send_overhead), _K_CALL1,
+                   self._start_transfer, (msg, event))
 
     def _start_transfer(self, args: tuple) -> None:
         """Rendezvous data phase: runs after the clear-to-send arrives."""

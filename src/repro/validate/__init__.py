@@ -8,8 +8,8 @@ Three layers, described in ``docs/testing.md``:
    file diffs them against the simulated Lustre file after every
    collective write (and on read-back);
 2. **runtime invariant checks** (:mod:`repro.validate.invariants`,
-   driven by :class:`Validator`) — opt-in via the ``parcoll_validate``
-   MPI-IO hint, the ``--validate`` CLI flag, an
+   driven by :class:`Validator`) — opt-in via ``MPIIO(validate=True)``,
+   the ``--validate`` CLI flag, an
    :class:`~repro.harness.runner.ExperimentConfig`'s ``validate`` field,
    or ``REPRO_VALIDATE=1``;
 3. **generator fleet** (:mod:`repro.validate.strategies`,

@@ -204,12 +204,16 @@ def _run_combo(case: DiffCase, hints: dict) -> dict[str, Any]:
     :class:`~repro.errors.ValidationError` on any invariant or oracle
     violation; the returned metrics feed the replay-determinism check.
     """
-    from repro.faults import FaultInjector, FaultPlan
+    from repro.faults import FaultInjector, FaultPlan, RetryPolicy
 
     injector = None
+    retry = None
     plan = FaultPlan.coerce(case.faults)
     if not plan.is_empty:
         injector = FaultInjector(plan, seed=case.seed)
+    if any(plan.has_flaky(ost) for ost in range(case.n_osts)):
+        # lost RPCs must never exhaust the retry budget in a gate run
+        retry = RetryPolicy(max_attempts=12)
     machine = MachineConfig(nprocs=case.nprocs, cores_per_node=2)
     world = World(machine, net_params=NetworkParams(), faults=injector)
     fs = LustreFS(world.engine,
@@ -217,13 +221,10 @@ def _run_combo(case: DiffCase, hints: dict) -> dict[str, Any]:
                                default_stripe_count=case.stripe_count,
                                default_stripe_size=case.stripe_size,
                                store_data=True),
-                  seed=case.seed, faults=injector)
+                  seed=case.seed, faults=injector, retry=retry)
     if injector is not None:
         injector.validate_platform(fs.params.n_osts, machine.nnodes)
     io = MPIIO(world, fs, validate=True)
-    if any(plan.has_flaky(ost) for ost in range(case.n_osts)):
-        # lost RPCs must never exhaust the retry budget in a gate run
-        hints = {**hints, "retry_max_attempts": 12}
     program, fname = _case_program(case, hints, io)
     world.launch(program)
     raw = fs.lookup(fname).contents()

@@ -167,10 +167,6 @@ class ShadowFile:
         #: total bytes recorded, counting overlap multiplicity; differs
         #: from ``covered_bytes`` once any write rewrote covered bytes
         self.total_recorded = 0
-        #: False once a write legitimately touched bytes outside its
-        #: recorded segments (data sieving's read-modify-write windows);
-        #: the model-mode extent oracle is then advisory only
-        self.exact_coverage = True
         #: recorded-but-not-landed writes: token -> coalesced segments
         self._pending: dict[int, Segments] = {}
         #: coalesced union of ``_pending``; None once a retired write

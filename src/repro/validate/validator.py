@@ -2,8 +2,8 @@
 
 One :class:`Validator` is shared by every rank of a simulation (ranks
 are generators inside one process, so sharing is free).  The MPI-IO
-layer calls its hooks when validation is enabled — via the
-``parcoll_validate`` MPI-IO hint, the ``validate`` field of an
+layer calls its hooks when validation is enabled — via
+``MPIIO(validate=True)``, the ``validate`` field of an
 :class:`~repro.harness.runner.ExperimentConfig`, the CLI ``--validate``
 flag, or the ``REPRO_VALIDATE`` environment variable:
 
@@ -167,11 +167,6 @@ class Validator:
             diff = sh.diff_bytes(lfile.store.view())
             self.report.checks["file_oracle_bytes"] += 1
         else:
-            if not sh.exact_coverage:
-                # sieved writes touch bytes outside their segments; the
-                # coverage map is then a superset and diffing would lie
-                self.report.checks["file_oracle_extents_skipped"] += 1
-                return
             offs, lens = lfile.tracker.extents
             diff = sh.diff_extents(offs, lens)
             self.report.checks["file_oracle_extents"] += 1

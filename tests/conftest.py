@@ -35,7 +35,7 @@ class Stack:
     def __init__(self, nprocs=8, cores_per_node=2, mapping="block",
                  collective_mode="analytic", store_data=True,
                  stripe_size=256, stripe_count=4, n_osts=4, jitter=0.0,
-                 seed=0, **net_kw):
+                 seed=0, validate=None, **net_kw):
         self.world = World(
             MachineConfig(nprocs=nprocs, cores_per_node=cores_per_node,
                           mapping=mapping),
@@ -49,7 +49,7 @@ class Stack:
                                         jitter=jitter,
                                         store_data=store_data),
                            seed=seed)
-        self.io = MPIIO(self.world, self.fs)
+        self.io = MPIIO(self.world, self.fs, validate=validate)
         self.nprocs = nprocs
 
     def run(self, program):

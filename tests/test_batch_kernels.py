@@ -164,7 +164,7 @@ def _transfer_by_spans(net, t, src_rank, dst_rank, nbytes):
     net.cross_node_messages += 1
     net.cross_node_bytes += nbytes
     tx_start, tx_done = net.tx[src_node].reserve_span(t, nbytes)
-    first_byte = tx_start + net.wire_latency(src_node, dst_node)
+    first_byte = tx_start + p.latency
     return tx_done, net.rx[dst_node].reserve_span(first_byte, nbytes)[1]
 
 
@@ -214,7 +214,7 @@ def test_schedule_batch_preserves_relative_order():
 
 
 def test_lazy_tuple_task_and_event_names():
-    from repro.sim import Event, Spawn
+    from repro.sim import Event
     from repro.sim.engine import _label
 
     eng = Engine()
@@ -225,15 +225,15 @@ def test_lazy_tuple_task_and_event_names():
         return "ok"
 
     def prog():
-        task = yield Spawn(child(), ("pipelined-write", 3))
+        task = eng.spawn(child(), ("write", 3))
         seen["name"] = task.name
         ev = Event(eng, ("send-free", 1, 0))
         ev.fire("v")
         seen["event"] = _label(ev.name)
-        return None
+        yield from ()
 
     eng.run_tasks([prog()])
-    assert seen["name"] == "pipelined-write:3"
+    assert seen["name"] == "write:3"
     assert seen["event"] == "send-free:1:0"
 
 

@@ -1,9 +1,9 @@
-"""Unit tests for the machine model, mappings, topology and network."""
+"""Unit tests for the machine model, mappings and network."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import Machine, MachineConfig, NetworkModel, NetworkParams, Torus3D
+from repro.cluster import Machine, MachineConfig, NetworkModel, NetworkParams
 from repro.cluster.machine import compute_mapping
 from repro.errors import ConfigError
 from repro.sim import Engine
@@ -61,44 +61,6 @@ class TestMachine:
             m.ranks_on_node(9)
 
 
-class TestTorus:
-    def test_fit_covers_requested_nodes(self):
-        for n in (1, 2, 7, 8, 27, 100, 1000):
-            t = Torus3D.fit(n)
-            assert t.nnodes >= n
-
-    def test_hops_symmetric_and_zero_on_diagonal(self):
-        t = Torus3D((4, 4, 4))
-        for a in range(0, 64, 7):
-            assert t.hops(a, a) == 0
-            for b in range(0, 64, 11):
-                assert t.hops(a, b) == t.hops(b, a)
-
-    def test_wraparound_distance(self):
-        t = Torus3D((4, 1, 1))
-        # nodes 0 and 3 are adjacent through the wrap link
-        assert t.hops(0, 3) == 1
-        assert t.hops(0, 2) == 2
-
-    def test_diameter(self):
-        assert Torus3D((4, 4, 4)).diameter() == 6
-
-    def test_hops_match_networkx_shortest_paths(self):
-        t = Torus3D((3, 3, 2))
-        import networkx as nx
-
-        g = t.to_networkx()
-        spl = dict(nx.all_pairs_shortest_path_length(g))
-        for a in range(t.nnodes):
-            for b in range(t.nnodes):
-                expected = 0 if a == b else spl[a][b]
-                assert t.hops(a, b) == expected, (a, b)
-
-    def test_invalid_dims(self):
-        with pytest.raises(ConfigError):
-            Torus3D((0, 1, 1))
-
-
 class TestNetworkModel:
     def make(self, nprocs=4, cores=2, **kw):
         eng = Engine()
@@ -135,22 +97,6 @@ class TestNetworkModel:
         _, a2 = net.transfer(2, 4, 1_000_000)  # nodes 1 -> 2
         assert a1 == pytest.approx(1.0)
         assert a2 == pytest.approx(2.0)
-
-    def test_hop_latency_with_topology(self):
-        eng = Engine()
-        machine = Machine(MachineConfig(nprocs=8, cores_per_node=1))
-        topo = Torus3D((8, 1, 1))
-        params = NetworkParams(latency=1e-6, hop_latency=1e-6, bandwidth=1e12,
-                               send_overhead=0.0, recv_overhead=0.0)
-        net = NetworkModel(eng, machine, params, topology=topo)
-        assert net.wire_latency(0, 1) == pytest.approx(2e-6)
-        assert net.wire_latency(0, 4) == pytest.approx(5e-6)  # 4 hops max on ring of 8
-
-    def test_topology_too_small_rejected(self):
-        eng = Engine()
-        machine = Machine(MachineConfig(nprocs=64, cores_per_node=1))
-        with pytest.raises(ConfigError):
-            NetworkModel(eng, machine, topology=Torus3D((2, 2, 2)))
 
     def test_invalid_params(self):
         with pytest.raises(ConfigError):

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import (ConfigError, FaultExhaustedError, MPIIOError,
-                          SimulationError)
+from repro.errors import ConfigError, FaultExhaustedError, SimulationError
 from repro.faults import (FaultInjector, FaultPlan, FlakyRPC, NodeSlowdown,
                           OSTDegrade, OSTStall, RetryPolicy)
 from repro.harness.parallel import ExperimentExecutor, ExperimentTask
@@ -138,14 +137,6 @@ class TestRetryPolicy:
         with pytest.raises(ConfigError, match="max_attempts"):
             pol.with_(max_attempts=0)
 
-    def test_hint_overrides_validate_and_map(self):
-        from repro.mpiio.hints import IOHints
-
-        h = IOHints(retry_max_attempts=3, retry_jitter=0.0)
-        assert h.retry_overrides() == {"max_attempts": 3, "jitter": 0.0}
-        with pytest.raises(MPIIOError, match="retry_timeout"):
-            IOHints(retry_timeout=0.0)
-
 
 class TestInjector:
     def test_profiles_are_none_for_untouched_resources(self):
@@ -207,14 +198,12 @@ class TestFaultRuns:
             run_tile(faults=FaultPlan.flaky(1.0, ost=0),
                      retry={"max_attempts": 1})
 
-    def test_retry_hints_override_platform_policy(self):
+    def test_platform_retry_policy_sets_attempts(self):
         plan = FaultPlan.flaky(1.0, ost=0)
-        # platform default survives nothing at prob=1 with 1 attempt;
-        # the per-file hint deepens the budget but prob=1 still exhausts
-        # it — the hint's attempt count must be the one in the error
+        # prob=1 exhausts any budget; the platform policy's attempt
+        # count, not the default's, must be the one in the error
         with pytest.raises(FaultExhaustedError) as err:
-            run_tile(faults=plan, retry={"max_attempts": 1},
-                     retry_max_attempts=4)
+            run_tile(faults=plan, retry={"max_attempts": 4})
         assert err.value.attempts == 4
 
     def test_fault_plan_changes_cache_key(self):

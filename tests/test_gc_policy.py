@@ -22,7 +22,7 @@ from repro.errors import DeadlockError, TaskFailedError
 from repro.harness import ExperimentConfig, run_experiment
 from repro.harness.report import run_report
 from repro.perf import PerfStats, merge
-from repro.sim import Engine, Event, Sleep, Spawn, WaitEvent
+from repro.sim import Engine, Event, Sleep, WaitEvent
 from repro.sim.engine import _RUN_GC_THRESHOLDS
 from repro.simmpi import World
 from repro.simmpi import collectives_macro
@@ -79,7 +79,7 @@ class TestThresholds:
             raise ValueError("boom")
 
         def parent():
-            yield Spawn(child(), "c")
+            eng.spawn(child(), "c")
             yield Sleep(5.0)
 
         eng.spawn(parent())

@@ -61,15 +61,6 @@ class TestRunner:
         with pytest.raises(ConfigError):
             run_experiment(cfg, bad_program)
 
-    def test_torus_platform_builds(self):
-        cfg = ExperimentConfig(nprocs=8, use_torus=True,
-                               net={"hop_latency": 1e-7},
-                               lustre={"n_osts": 4,
-                                       "default_stripe_count": 4})
-        _, prog = tiny_tile()
-        res = run_experiment(cfg, prog)
-        assert res.write_bandwidth > 0
-
     def test_read_bandwidth_zero_without_reads(self):
         res = run_experiment(*tiny_tile())
         assert res.read_bandwidth == 0.0

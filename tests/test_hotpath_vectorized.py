@@ -31,8 +31,6 @@ from hypothesis import strategies as st
 from repro.datatypes.flatten import Segments, intersect_range
 from repro.datatypes.packing import dense_starts
 from repro.harness.hotpath import CONFIGS, run_config
-from repro.lustre.layout import StripeLayout
-from repro.mpiio.aggregation import partition_file_domains
 from repro.mpiio.two_phase import (_send_lists_from_plan, data_positions,
                                    extract_data, merge_pieces, place_data,
                                    plan_rounds)
@@ -111,8 +109,8 @@ def random_domains(rng: np.random.Generator, naggs: int,
     """Contiguous aggregator file domains covering ``[0, span_hi)``.
 
     Some domains come out empty (``starts[a] == ends[a]``), matching
-    what :func:`partition_file_domains` produces when there are more
-    aggregators than aligned stripes.
+    what :func:`~repro.mpiio.aggregation.partition_file_domains`
+    produces when there are more aggregators than bytes to split.
     """
     cuts = np.sort(rng.integers(0, span_hi + 1, size=naggs - 1))
     bounds = np.concatenate(([0], cuts, [span_hi])).astype(np.int64)
@@ -166,9 +164,9 @@ def plan_inputs(draw):
 
     Lengths mix single bytes, lengths around ``cb`` and runs of many
     windows, so pieces straddle windows and domains; an empty list is an
-    idle rank.  Domains come from :func:`partition_file_domains` over a
-    range at least as wide as the rank's extent, with or without stripe
-    snapping, so empty and snapped domains occur.
+    idle rank.  Domains tile a range at least as wide as the rank's
+    extent, cut at points drawn from a small pool, so repeated cuts make
+    empty domains.
     """
     cb = draw(st.integers(1, 4096))
     length = st.one_of(st.just(1), st.integers(1, 3 * cb),
@@ -183,10 +181,12 @@ def plan_inputs(draw):
     fd_min = lo - draw(st.integers(0, lo))
     fd_max = hi + draw(st.integers(0, 4 * cb))
     naggs = draw(st.integers(1, 16))
-    stripe = draw(st.sampled_from([None, 1, 64, 1000, 4096]))
-    align = None if stripe is None else StripeLayout(stripe, 1, 1)
-    starts, ends = partition_file_domains(fd_min, fd_max, naggs, align)
-    return (offs, lens), starts, ends, cb
+    pool = draw(st.lists(st.integers(fd_min, fd_max), min_size=1,
+                         max_size=4))
+    cuts = sorted(draw(st.lists(st.sampled_from(pool), min_size=naggs - 1,
+                                max_size=naggs - 1)))
+    bounds = np.array([fd_min, *cuts, fd_max], dtype=np.int64)
+    return (offs, lens), bounds[:-1], bounds[1:], cb
 
 
 @settings(max_examples=150)

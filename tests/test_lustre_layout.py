@@ -55,12 +55,6 @@ class TestStripeLayout:
         per = lay.bytes_per_ost([0], [400])
         assert per == {0: 200, 1: 200}
 
-    def test_aligned_boundaries(self):
-        lay = StripeLayout(stripe_size=100, stripe_count=2, n_osts=2)
-        assert lay.aligned_boundaries(50, 350).tolist() == [100, 200, 300]
-        assert lay.aligned_boundaries(0, 100).tolist() == [0, 100]
-        assert lay.aligned_boundaries(101, 199).size == 0
-
     def test_invalid_params(self):
         with pytest.raises(FileSystemError):
             StripeLayout(0, 1, 4)

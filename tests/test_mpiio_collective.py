@@ -303,22 +303,3 @@ def test_independent_protocol_writes_correctly(mode):
     np.testing.assert_array_equal(st.file_bytes("indep"),
                                   written_reference_contiguous(4, 128))
 
-
-def test_independent_read_with_data_sieving():
-    st = Stack(nprocs=2)
-
-    def program(comm, io):
-        f = yield from io.open(comm, "sieve")
-        if comm.rank == 0:
-            yield from f.write_at(0, rank_pattern(0, 512))
-        yield from comm.barrier()
-        ft = Vector(8, 16, 32, BYTE)  # every other 16-byte block
-        f.set_view(0, BYTE, ft)
-        out = yield from f.read_at(0, 128, data_sieving=True)
-        yield from f.close()
-        return out
-
-    results = st.run(program)
-    ref = rank_pattern(0, 512).reshape(-1, 16)[::2][:8].ravel()
-    np.testing.assert_array_equal(results[0], ref)
-    np.testing.assert_array_equal(results[1], ref)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.cluster import Machine, MachineConfig
 from repro.errors import ConfigError, MPIIOError
-from repro.lustre import StripeLayout
 from repro.mpiio import IOHints
 from repro.mpiio.aggregation import (default_aggregators, domain_of_offsets,
                                      partition_file_domains)
@@ -23,9 +22,22 @@ class TestHints:
         assert h.cb_buffer_size == 1024
         assert h.parcoll_ngroups == 8
 
-    def test_unknown_hint_rejected(self):
-        with pytest.raises(MPIIOError):
-            IOHints.from_dict({"romio_no_such_hint": 1})
+    # a name no MPI-IO layer knows, then hints this library no longer
+    # has, each with a value it used to accept: only the name rejects
+    @pytest.mark.parametrize("name,value", [
+        ("romio_no_such_hint", 1),
+        ("align_file_domains", True),
+        ("pipelined_io", True),
+        ("parcoll_validate", True),
+        ("retry_max_attempts", 4),
+        ("retry_timeout", 1.0),
+        ("retry_backoff_base", 0.0),
+        ("retry_backoff_factor", 2.0),
+        ("retry_jitter", 0.0),
+    ])
+    def test_unknown_hint_rejected(self, name, value):
+        with pytest.raises(MPIIOError, match="unknown hint"):
+            IOHints.from_dict({name: value})
 
     def test_invalid_values_rejected(self):
         with pytest.raises(MPIIOError):
@@ -126,19 +138,6 @@ class TestFileDomains:
     def test_empty_range(self):
         s, e = partition_file_domains(5, 5, 3)
         assert (e - s).tolist() == [0, 0, 0]
-
-    def test_alignment_snaps_to_stripes(self):
-        lay = StripeLayout(stripe_size=100, stripe_count=2, n_osts=4)
-        s, e = partition_file_domains(0, 1000, 3, align=lay)
-        # interior boundaries 333, 667 snap to 300, 700
-        assert s.tolist() == [0, 300, 700]
-        assert e.tolist() == [300, 700, 1000]
-
-    def test_alignment_keeps_bounds_monotone(self):
-        lay = StripeLayout(stripe_size=1000, stripe_count=2, n_osts=4)
-        s, e = partition_file_domains(0, 500, 4, align=lay)
-        assert (e >= s).all()
-        assert s[0] == 0 and e[-1] == 500
 
     def test_invalid(self):
         with pytest.raises(MPIIOError):

@@ -35,9 +35,10 @@ PROTOCOLS = [
 ]
 
 
-def run_pattern(cfg: SyntheticConfig, hints: dict) -> np.ndarray:
+def run_pattern(cfg: SyntheticConfig, hints: dict,
+                validate=None) -> np.ndarray:
     st_ = Stack(nprocs=cfg.nprocs, stripe_size=512, n_osts=4,
-                stripe_count=4)
+                stripe_count=4, validate=validate)
 
     def program(comm, io):
         ft = filetype_for(cfg, comm.rank)
@@ -131,9 +132,9 @@ def test_registry_cross_product_under_oracle(pattern):
                           piece_bytes=128, seed=7)
     expected = reference_file(cfg, deterministic_bytes)
     for name in PROTOCOLS:
-        hints = {"protocol": name, "parcoll_validate": True}
+        hints = {"protocol": name}
         if name in ("parcoll", "nodeagg"):
             hints["parcoll_ngroups"] = 2
-        got = run_pattern(cfg, hints)
+        got = run_pattern(cfg, hints, validate=True)
         np.testing.assert_array_equal(
             got, expected, err_msg=f"protocol {name!r} on {pattern!r}")

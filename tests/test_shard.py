@@ -138,7 +138,6 @@ class TestFallbacks:
             assert plan(cfg_kw={"collective_mode": mode}).active, mode
         for kw, needle in [
             (dict(cfg_kw={"mapping": "roundrobin"}), "mapping"),
-            (dict(cfg_kw={"use_torus": True}), "torus"),
             (dict(cfg_kw={"collective_mode": "detailed"}), "analytic"),
             (dict(cfg_kw={"collective_mode": "scoped:world=detailed"}),
              "analytic"),

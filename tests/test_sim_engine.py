@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim import Engine, Event, Join, Sleep, Spawn, WaitEvent
+from repro.sim import Engine, Event, Sleep, WaitEvent
 
 
 def test_sleep_advances_virtual_clock():
@@ -131,57 +131,6 @@ def test_event_fire_later():
     assert results[0] == (5.0, "v")
 
 
-def test_spawn_and_join_returns_child_result():
-    eng = Engine()
-
-    def child(x):
-        yield Sleep(2.0)
-        return x * 2
-
-    def parent():
-        t = yield Spawn(child(21), "child")
-        val = yield Join(t)
-        return (eng.now, val)
-
-    (result,) = eng.run_tasks([parent()])
-    assert result == (2.0, 42)
-
-
-def test_join_already_finished_task():
-    eng = Engine()
-
-    def child():
-        return 7
-        yield  # pragma: no cover
-
-    def parent():
-        t = yield Spawn(child(), "c")
-        yield Sleep(1.0)
-        val = yield Join(t)
-        return val
-
-    (result,) = eng.run_tasks([parent()])
-    assert result == 7
-
-
-def test_child_exception_propagates_to_joiner():
-    eng = Engine()
-
-    def child():
-        yield Sleep(1.0)
-        raise ValueError("boom")
-
-    def parent():
-        t = yield Spawn(child(), "c")
-        try:
-            yield Join(t)
-        except ValueError as e:
-            return f"caught {e}"
-
-    (result,) = eng.run_tasks([parent()])
-    assert result == "caught boom"
-
-
 def test_unjoined_child_exception_fails_run():
     eng = Engine()
 
@@ -190,7 +139,7 @@ def test_unjoined_child_exception_fails_run():
         raise ValueError("unseen")
 
     def parent():
-        yield Spawn(child(), "c")
+        eng.spawn(child(), "c")
         yield Sleep(5.0)
 
     # run_tasks unwraps the TaskFailedError to the original exception

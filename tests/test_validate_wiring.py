@@ -1,5 +1,5 @@
-"""How validation threads through the stack: hints, configs, executor,
-run cache, and the close-time oracle hook."""
+"""How validation threads through the stack: the platform switch,
+configs, executor, run cache, and the close-time oracle hook."""
 
 import numpy as np
 import pytest
@@ -36,11 +36,11 @@ class TestEnvSwitch:
         assert env_validate_enabled({}) is False
 
 
-class TestHintPlumbing:
-    def run_synth(self, hints):
+class TestPlatformSwitch:
+    def run_synth(self, hints, validate=None):
         cfg = SyntheticConfig(pattern="interleaved", nprocs=4,
                               bytes_per_rank=1024, piece_bytes=128)
-        stack = Stack(nprocs=4, stripe_size=512)
+        stack = Stack(nprocs=4, stripe_size=512, validate=validate)
 
         def program(comm, io):
             ft = filetype_for(cfg, comm.rank)
@@ -55,9 +55,9 @@ class TestHintPlumbing:
         stack.run(program)
         return stack.io
 
-    def test_hint_enables_validator(self):
-        io = self.run_synth({"protocol": "parcoll", "parcoll_ngroups": 2,
-                             "parcoll_validate": True})
+    def test_validate_true_enables_validator(self):
+        io = self.run_synth({"protocol": "parcoll", "parcoll_ngroups": 2},
+                            validate=True)
         report = io.validator.report
         assert report.ok
         assert report.checks["file_oracle_bytes"] >= 1
@@ -68,29 +68,25 @@ class TestHintPlumbing:
         io = self.run_synth({"protocol": "parcoll", "parcoll_ngroups": 2})
         assert io.validator is None
 
-    def test_hint_false_forces_off_even_when_platform_validates(self):
-        stack = Stack(nprocs=2)
-        stack.io.validator = None
-        from repro.validate import Validator
-
-        stack.io.validator = Validator()
+    def test_validate_false_overrides_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_VALIDATE", "1")
+        assert Stack(nprocs=2).io.validator is not None
+        stack = Stack(nprocs=2, validate=False)
 
         def program(comm, io):
-            f = yield from io.open(comm, "off",
-                                   hints={"parcoll_validate": False})
+            f = yield from io.open(comm, "off")
             yield from f.write_at_all(
                 comm.rank * 4, np.full(4, comm.rank, dtype=np.uint8))
             yield from f.close()
 
         stack.run(program)
-        assert stack.io.validator.report.total_checks == 0
+        assert stack.io.validator is None
 
     def test_oracle_fires_through_close(self):
-        stack = Stack(nprocs=2)
+        stack = Stack(nprocs=2, validate=True)
 
         def program(comm, io):
-            f = yield from io.open(comm, "bad",
-                                   hints={"parcoll_validate": True})
+            f = yield from io.open(comm, "bad")
             yield from f.write_at_all(
                 comm.rank * 4, np.full(4, 1 + comm.rank, dtype=np.uint8))
             if comm.rank == 0:
