@@ -10,7 +10,7 @@ adding retry consumers does not perturb any other stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import ConfigError
@@ -64,7 +64,3 @@ class RetryPolicy:
         if self.jitter > 0.0 and delay > 0.0:
             delay *= 1.0 + self.jitter * float(rng.random())
         return delay
-
-    def with_(self, **kwargs: Any) -> "RetryPolicy":
-        """Copy with overrides (validated)."""
-        return replace(self, **kwargs)

@@ -71,15 +71,3 @@ class StripeLayout:
         chunk_lo = np.maximum(offs[seg_of], stripe * S)
         chunk_hi = np.minimum(offs[seg_of] + lens[seg_of], (stripe + 1) * S)
         return chunk_lo, chunk_hi - chunk_lo, self.ost_of_stripe(stripe)
-
-    def bytes_per_ost(self, offsets, lengths) -> dict[int, int]:
-        """Total bytes each OST serves for the given segments."""
-        _, clens, costs = self.chunks(offsets, lengths)
-        out: dict[int, int] = {}
-        if clens.size == 0:
-            return out
-        osts, totals = np.unique(costs, return_inverse=False), None
-        sums = np.zeros(osts.size, dtype=np.int64)
-        idx = np.searchsorted(osts, costs)
-        np.add.at(sums, idx, clens)
-        return {int(o): int(s) for o, s in zip(osts, sums)}

@@ -118,30 +118,25 @@ def _file_domains(env: IOEnv, extents: list) -> Optional[tuple]:
     allgathered ``(lo, hi)`` extents, or None when no rank accesses
     anything.
 
-    Every rank of the call holds the same extents, so the first rank
-    through builds the result and leaves it in its communicator
-    descriptor under the allgather's op number and the hints it derives
-    from; the other ranks take it from there.  A rank whose hints differ
-    builds its own, as every rank did before.  One slot suffices: no
-    rank can finish the next call's allgather before every rank has
-    passed this lookup.
+    Every rank of the call holds the same extents, so the call builds
+    the result once (:meth:`Communicator.once_per_call`), tagged with
+    the hints it derives from.
     """
     comm = env.comm
     hints = env.hints
-    key = (comm._op_seq, hints.cb_config_ranks, hints.cb_nodes)
-    held = comm.desc.domains
-    if held is not None and held[0] == key:
-        return held[1]
-    ext = np.array(extents, dtype=np.int64)
-    ext = ext[ext[:, 0] >= 0]
-    domains = None
-    if ext.size:
+
+    def build() -> Optional[tuple]:
+        ext = np.array(extents, dtype=np.int64)
+        ext = ext[ext[:, 0] >= 0]
+        if not ext.size:
+            return None
         aggs = default_aggregators(comm.desc.members, env.machine, hints)
         starts, ends = partition_file_domains(
             int(ext[:, 0].min()), int(ext[:, 1].max()), len(aggs))
-        domains = (aggs, {r: i for i, r in enumerate(aggs)}, starts, ends)
-    comm.desc.domains = (key, domains)
-    return domains
+        return aggs, {r: i for i, r in enumerate(aggs)}, starts, ends
+
+    return comm.once_per_call(
+        ("file_domains", hints.cb_config_ranks, hints.cb_nodes), build)
 
 
 def _setup(env: IOEnv, segs: Segments

@@ -73,6 +73,59 @@ def _stale_reason(plan: PartitionPlan, planned: tuple, lo: int, hi: int,
     return None
 
 
+class _Grouping:
+    """One grouping's aggregator distribution, built by the first rank
+    that needs it.  With a rank it also keys that rank's subgroup
+    communicator in the cache, hashed by identity instead of by the
+    grouping's P-tuple."""
+
+    __slots__ = ("dist",)
+
+    def __init__(self) -> None:
+        #: (groups, parent aggregators, aggregators per group, each
+        #: group's aggregators as subgroup ranks), or None until built
+        self.dist: Optional[tuple] = None
+
+
+def _plan_for_call(extents: list, hints: Any, cache: dict
+                   ) -> tuple[PartitionPlan, _Grouping]:
+    """The plan for the gathered extents and its grouping's shared state.
+
+    Plans are cached by extents and groupings by the plan's grouping, so
+    a call whose extents moved without regrouping keeps its subgroup
+    communicators.
+    """
+    pkey = ("gplan", hints.parcoll_ngroups, hints.parcoll_intermediate_views,
+            tuple(extents))
+    plan = cache.get(pkey)
+    if plan is None:
+        plan = plan_partition(extents, hints.parcoll_ngroups,
+                              allow_intermediate=hints.parcoll_intermediate_views)
+        cache[pkey] = plan
+    gkey = ("grouping", plan.cache_key())
+    grouping = cache.get(gkey)
+    if grouping is None:
+        grouping = cache[gkey] = _Grouping()
+    return plan, grouping
+
+
+def _distribute(env: IOEnv, plan: PartitionPlan) -> tuple:
+    """Section 4.2's aggregator distribution for ``plan``'s groups."""
+    comm = env.comm
+    groups: list[list[int]] = [[] for _ in range(plan.ngroups)]
+    for r, g in enumerate(plan.group_of):
+        groups[g].append(r)
+    parent_aggs = default_aggregators(comm.desc.members, env.machine,
+                                      env.hints)
+    per_group = distribute_aggregators(groups, parent_aggs,
+                                       comm.desc.members, env.machine)
+    sub_aggs = []
+    for members, aggs in zip(groups, per_group):
+        sub_rank = {r: i for i, r in enumerate(members)}
+        sub_aggs.append(tuple(sub_rank[r] for r in aggs))
+    return groups, parent_aggs, per_group, sub_aggs
+
+
 def _prepare(env: IOEnv, segs: Segments, cache: dict
              ) -> Generator[Any, Any, tuple]:
     """Phases 1-4; returns (plan, subcomm, sub_hints, iview-or-None).
@@ -121,23 +174,19 @@ def _prepare(env: IOEnv, segs: Segments, cache: dict
                 return plan, subcomm, sub_hints, iview
             # 'auto' with drift somewhere: fall through to a global re-plan
     extents = yield from comm.allgather((lo, hi, nbytes), category="sync")
-    # every rank computes the identical plan from the gathered extents —
-    # doing so per rank is quadratic in nprocs, so the first rank through
-    # stores the (immutable, shared) plan for the rest
-    gkey = ("gplan", env.hints.parcoll_ngroups,
-            env.hints.parcoll_intermediate_views, tuple(extents))
-    plan = cache.get(gkey)
-    if plan is None:
-        plan = plan_partition(extents, env.hints.parcoll_ngroups,
-                              allow_intermediate=env.hints.parcoll_intermediate_views)
-        cache[gkey] = plan
+    # every rank holds the same extents: the call looks its plan and
+    # grouping up once, not once per rank (each lookup hashes P-tuples)
+    hints = env.hints
+    plan, grouping = comm.once_per_call(
+        ("parcoll", hints.parcoll_ngroups, hints.parcoll_intermediate_views),
+        lambda: _plan_for_call(extents, hints, cache))
     if env.validator is not None:
         env.validator.check_partition_plan(plan, extents)
     # the cache dict is shared by all ranks of the file, but communicator
     # handles are per-rank objects — key by rank.  Hits and misses stay
     # symmetric across ranks because the plan is a pure function of the
     # allgathered extents.
-    key = (plan.cache_key(), comm.rank)
+    key = (grouping, comm.rank)
     cached = cache.get(key)
     if cached is None:
         my_group = plan.group_of[comm.rank]
@@ -145,19 +194,9 @@ def _prepare(env: IOEnv, segs: Segments, cache: dict
         # aggregator distribution is deterministic: all ranks would
         # compute the identical assignment, so only the first one does —
         # the split above stays per-rank (communicator handles are)
-        dist_key = ("dist", plan.cache_key())
-        dist = cache.get(dist_key)
-        if dist is None:
-            groups: list[list[int]] = [[] for _ in range(plan.ngroups)]
-            for r, g in enumerate(plan.group_of):
-                groups[g].append(r)
-            parent_aggs = default_aggregators(comm.desc.members, env.machine,
-                                              env.hints)
-            per_group = distribute_aggregators(groups, parent_aggs,
-                                               comm.desc.members, env.machine)
-            dist = (groups, parent_aggs, per_group)
-            cache[dist_key] = dist
-        groups, parent_aggs, per_group = dist
+        if grouping.dist is None:
+            grouping.dist = _distribute(env, plan)
+        groups, parent_aggs, per_group, sub_aggs = grouping.dist
         if env.validator is not None:
             members = comm.desc.members
 
@@ -171,11 +210,8 @@ def _prepare(env: IOEnv, segs: Segments, cache: dict
                     agg_nodes.append(n)
             env.validator.check_aggregator_distribution(
                 groups, per_group, agg_nodes, node_of)
-        # translate my group's aggregators to subcommunicator ranks
-        members_sorted = groups[my_group]
-        sub_aggs = tuple(members_sorted.index(r) for r in per_group[my_group])
-        sub_hints = env.hints.with_(cb_config_ranks=sub_aggs,
-                                    protocol="ext2ph", parcoll_ngroups=1)
+        sub_hints = hints.with_(cb_config_ranks=sub_aggs[my_group],
+                                protocol="ext2ph", parcoll_ngroups=1)
         cached = (subcomm, sub_hints)
         cache[key] = cached
     subcomm, sub_hints = cached

@@ -60,7 +60,7 @@ for single-rank communicators (whose detailed path never yields).
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from typing import Any, Callable, Generator, Optional, TYPE_CHECKING
 
 import numpy as np
@@ -114,7 +114,7 @@ class _MacroSite:
         self.events: dict[int, Event] = {}
         self.kind = kind
         self.driver: Optional[_Driver] = None
-        #: per-kind scratch (converted payloads, memoized reductions)
+        #: per-kind memo (forwarded block sizes, partial reductions)
         self.extra: dict = {}
 
 
@@ -139,8 +139,8 @@ class _Driver:
     step functions and per-rank progress.
     """
 
-    __slots__ = ("core", "members", "p", "site", "idx", "step_i",
-                 "pend", "inbox", "steps", "results", "nmsgs", "done")
+    __slots__ = ("core", "members", "p", "site", "step_i", "pend", "inbox",
+                 "steps", "results", "done")
 
     def __init__(self, comm: "Communicator", site: _MacroSite,
                  core: "_Walker"):
@@ -149,7 +149,6 @@ class _Driver:
         self.members = comm.desc.members
         self.p = p
         self.site = site
-        self.idx = 0
         self.step_i = [0] * p
         #: parked rank state: [step, sendT, sbind, recvT, rbind]; None
         #: fields are unresolved (rendezvous send, unmatched receive)
@@ -160,7 +159,6 @@ class _Driver:
         self.inbox: dict[tuple[int, int], tuple] = {}
         self.steps: Optional[list] = [None] * p
         self.results: Optional[list] = None
-        self.nmsgs = 0
         self.done = 0
 
     def push_initial(self, r: int, step: _StepFn) -> None:
@@ -169,7 +167,6 @@ class _Driver:
         heappush(core.heap,
                  (self.site.arrivals[r], 1, core.initc - _BIG, 0, r, self))
         core.initc += 1
-        self.idx += 1
 
     def release(self) -> None:
         """Drop the finished round's step functions, results and site.
@@ -183,16 +180,27 @@ class _Driver:
         self.steps = None
         self.results = None
 
-    def _complete(self, r: int, pe: list) -> None:
-        sendT, sbind, recvT, rbind = pe[1], pe[2], pe[3], pe[4]
-        if sendT is None or recvT is None:
-            return
-        self.pend[r] = None
-        self.step_i[r] += 1
-        if recvT >= sendT:
-            self.core._push(recvT, 1, rbind, 0, r, self)
-        else:
-            self.core._push(sendT, 1, sbind, 0, r, self)
+
+def _first_seq(heap: list) -> int:
+    """The lowest seq among the heap entries at the top's timestamp.
+
+    A wake must order before every entry it will requeue.  Entries at
+    the top's time form a subtree at the root — a heap entry never
+    orders before its parent, so every ancestor of such an entry shares
+    its time — and the walk stops at the first later child.
+    """
+    t0 = heap[0][0]
+    n = len(heap)
+    low = heap[0][2]
+    todo = [0]
+    while todo:
+        i = todo.pop()
+        for c in (2 * i + 1, 2 * i + 2):
+            if c < n and heap[c][0] == t0:
+                if heap[c][2] < low:
+                    low = heap[c][2]
+                todo.append(c)
+    return low
 
 
 class _Walker:
@@ -220,9 +228,8 @@ class _Walker:
     walk advances in lockstep with the rest of the simulation.
     """
 
-    __slots__ = ("eng", "net", "eager", "cts_delay", "heap",
-                 "initc", "wake_at", "wake_seq", "first_seq", "parked",
-                 "unfinished")
+    __slots__ = ("eng", "net", "eager", "cts_delay", "heap", "initc",
+                 "wake_at", "wake_seq", "parked", "unfinished")
 
     def __init__(self, world: "World"):
         self.eng = world.engine
@@ -236,209 +243,45 @@ class _Walker:
         self.initc = 0
         self.wake_at = _INF
         self.wake_seq = _INF
-        #: min engine seq among heap entries per timestamp — the wake
-        #: for a timestamp must order before every entry it will requeue
-        self.first_seq: dict[float, int] = {}
         #: entries requeued into the engine scheduler, not yet run
         self.parked = 0
         #: fully-arrived rounds that have not completed yet
         self.unfinished = 0
 
-    def _push(self, t: float, phase: int, seq: int, code: int,
-              arg: Any, drv: _Driver) -> None:
-        """Heap push with first-seq bookkeeping (and wake demotion when
-        a new entry undercuts an already-scheduled wake's seq)."""
-        heappush(self.heap, (t, phase, seq, code, arg, drv))
-        fs = self.first_seq
-        prev = fs.get(t)
-        if prev is None or seq < prev:
-            fs[t] = seq
-            if t == self.wake_at and seq < self.wake_seq:
-                # an earlier-seq entry appeared at the wake's timestamp:
-                # add an earlier wake (the stale one fires harmlessly)
-                self.wake_seq = seq
-                self.eng._sched_at_seq(t, seq - 0.5, _K_CALL1,
-                                       self._wake, None)
+    def _demote(self, t: float, seq: int) -> int:
+        """An entry at the wake's timestamp undercuts the wake's seq:
+        add an earlier wake (the stale one fires harmlessly)."""
+        self.wake_seq = seq
+        self.eng._sched_at_seq(t, seq - 0.5, _K_CALL1, self._wake, None)
+        return seq
 
     def _wake(self, _arg: Any = None) -> None:
         self.wake_at = _INF
         self.wake_seq = _INF
         self.pump()
 
-    def _parked_heap(self, entry: tuple) -> None:
-        """A bookkeeping entry requeued to its own engine heap slot."""
-        self.parked -= 1
-        t, _phase, seq, code, arg, drv = entry
-        self._heap_entry(t, code, arg, drv)
-        self.pump()
-
-    def _parked_fire(self, arg: tuple) -> None:
+    def _parked_fire(self, entry: tuple) -> None:
         """A resumption's fire slot dispatching from the engine heap:
         the detailed fire appends the woken task to the ready deque, so
         the cascade takes exactly that deque position."""
         eng = self.eng
         eng.heap_bypasses += 1
-        eng._ready.append((_K_CALL1, self._run_casc, arg))
+        t, phase, _seq, code, r, drv = entry
+        # a negative seq marks a cascade at deque stage (see pump)
+        eng._ready.append((_K_CALL1, self._parked,
+                           (t, phase, -1, code, r, drv)))
 
-    def _run_casc(self, arg: tuple) -> None:
-        drv, r, bind = arg
+    def _parked(self, entry: tuple) -> None:
+        """A requeued entry reaching its engine slot: a bookkeeping
+        entry at its heap slot, a resumption at its deque position."""
         self.parked -= 1
-        self._casc(drv, r, self.eng.now, bind, True)
-        self.pump()
+        self.pump(entry)
 
-    def _heap_entry(self, t: float, code: int, arg: tuple,
-                    drv: _Driver) -> None:
-        """Process a code-1/code-2 entry (heap-stage bookkeeping)."""
-        eng = self.eng
-        net = self.net
-        members = drv.members
-        if code == 1:
-            # rendezvous header delivered at the receiver
-            src, dst, dstep, nb = arg
-            pe = drv.pend[dst]
-            if pe is not None and pe[0] == dstep:
-                # receive already posted: match, clear-to-send goes
-                # back
-                cts = t + self.cts_delay
-                eng._seq += 1
-                self._push(cts, 0, eng._seq, 2, arg, drv)
-            else:
-                drv.inbox[(dst, dstep)] = ("h", src, nb)
-            return
-        # code 2: rendezvous data phase — a real heap callback in
-        # the per-message schedule too
-        src, dst, dstep, nb = arg
-        free, arr = net.transfer(members[src], members[dst], nb, t)
-        sa = eng._seq + 1
-        sb = sa + 1
-        eng._seq = sb
-        pe = drv.pend[src]
-        pe[1] = free
-        pe[2] = sa
-        drv._complete(src, pe)
-        pe = drv.pend[dst]
-        pe[3] = arr
-        pe[4] = sb
-        drv._complete(dst, pe)
-
-    def _casc(self, drv: _Driver, r: int, cur_t: float, bind: int,
-              deque_stage: bool = False) -> None:
-        """Advance rank ``r``'s step cascade from its current position.
-
-        ``bind`` is the engine seq of the entry that resumed the rank —
-        the position the detailed task's wake would have held; a rank
-        exit reached while walked ahead of the engine clock re-enters
-        the scheduler at exactly that slot.  ``deque_stage`` is set when
-        the cascade occupies a ready-deque position (a requeued
-        resumption, or an arriving rank's own continuation): an exit
-        there resumes the parked task inline, just as the detailed
-        task's continuation would have run at that position.
-        """
-        eng = self.eng
-        transfer = self.net.transfer
-        members = drv.members
-        pend = drv.pend
-        inbox = drv.inbox
-        step_i = drv.step_i
-        eager = self.eager
-        cts_delay = self.cts_delay
-        step = drv.steps[r]
-        while True:
-            k = step_i[r]
-            st = step(k)
-            if st is None:
-                ev = drv.site.events[r]
-                val = drv.results[r]
-                drv.done += 1
-                if drv.done == drv.p:
-                    perf_counters.messages_coalesced += drv.nmsgs
-                    self.unfinished -= 1
-                    drv.release()
-                if cur_t > eng.now:
-                    # walked ahead of the engine clock: re-enter the
-                    # scheduler so the rank resumes at its true exit
-                    # time, at the waking entry's own seq slot
-                    eng._sched_at_seq(cur_t, bind, _K_FIRE, ev, val)
-                elif deque_stage and ev._waiters:
-                    # the cascade holds the deque position the detailed
-                    # continuation would have run at: resume inline
-                    ev._value = val
-                    task = ev._waiters.pop()
-                    eng._step(task, val)
-                else:
-                    ev.fire(val)
-                break
-            dst, dstep, nb, src = st
-            sendT = sbind = None
-            has_send = dst >= 0
-            if has_send:
-                drv.nmsgs += 1
-                if nb <= eager:
-                    free, arr = transfer(members[r], members[dst], nb,
-                                         cur_t)
-                    sendT = free
-                    sbind = eng._seq + 1   # send-event fire
-                    dseq = sbind + 1       # delivery
-                    eng._seq = dseq
-                    pe = pend[dst]
-                    if pe is not None and pe[0] == dstep:
-                        pe[3] = arr
-                        pe[4] = dseq
-                        drv._complete(dst, pe)
-                    else:
-                        inbox[(dst, dstep)] = ("e", arr, dseq)
-                else:
-                    _, harr = transfer(members[r], members[dst], RTS_BYTES,
-                                       cur_t)
-                    eng._seq += 1
-                    self._push(harr, 0, eng._seq, 1,
-                               (r, dst, dstep, nb), drv)
-            if src < 0:
-                # send-only step: wait for the sender-free event
-                if sendT is None:
-                    pend[r] = [k, None, None, 0.0, -1]
-                    break
-                step_i[r] += 1
-                self._push(sendT, 1, sbind, 0, r, drv)
-                break
-            ib = inbox.pop((r, k), None)
-            if ib is None:
-                pend[r] = [k, sendT if has_send else 0.0,
-                           sbind if has_send else -1, None, None]
-                break
-            if ib[0] == "h":
-                # unmatched rendezvous header: posting the receive
-                # sends the clear-to-send immediately
-                cts = cur_t + cts_delay
-                eng._seq += 1
-                self._push(cts, 0, eng._seq, 2, (ib[1], r, k, ib[2]), drv)
-                pend[r] = [k, sendT if has_send else 0.0,
-                           sbind if has_send else -1, None, None]
-                break
-            arrT, dseq = ib[1], ib[2]
-            if not has_send:
-                # receive-only step
-                if arrT <= cur_t:
-                    # already in the unexpected queue: continue inline,
-                    # keeping this cascade's ordering token
-                    step_i[r] += 1
-                    continue
-                step_i[r] += 1
-                self._push(arrT, 1, dseq, 0, r, drv)
-                break
-            if sendT is None:
-                # rendezvous send still pending; receive resolved
-                pend[r] = [k, None, None, arrT, dseq]
-                break
-            step_i[r] += 1
-            if arrT >= sendT:
-                self._push(arrT, 1, dseq, 0, r, drv)
-            else:
-                self._push(sendT, 1, sbind, 0, r, drv)
-            break
-
-    def pump(self) -> None:
+    def pump(self, first: Optional[tuple] = None) -> None:
         """Drain due work, then advance inline as far as legality allows.
+
+        ``first`` is a requeued entry whose engine slot has come: it
+        runs before anything else.
 
         Entries due at the engine's current time are processed in
         ``(t, phase, seq)`` order; at contested timestamps every due
@@ -456,53 +299,241 @@ class _Walker:
         resume at their true time and position; everything still
         pending when the advance stops gets one wake at the next
         entry's timestamp.
+
+        Every entry runs in this one loop: a resumption walks the rank's
+        step cascade — issue the step's send, then take its receive from
+        the inbox or park — until the rank waits on a future event or
+        exits, with no call per message but the step function's and
+        ``transfer``'s.  A resumption with a negative seq is at deque
+        stage (an arriving rank's initial entry, or a requeued
+        resumption at the deque position its fire gave it): a rank exit
+        there resumes the parked task inline, just as the detailed
+        task's continuation would have run at that position.  The count
+        of messages coalesced is added once, when the pump returns.
         """
         eng = self.eng
         now = eng.now
         heap = self.heap
         eheap = eng._heap
         eready = eng._ready
-        fs = self.first_seq
+        transfer = self.net.transfer
+        eager = self.eager
+        cts_delay = self.cts_delay
+        wake_at = self.wake_at
+        wake_seq = self.wake_seq
+        # messages sent, added to the coalesced count once
+        nsent = 0
+        drv = None
         cur = now
-        while heap:
-            t1 = heap[0][0]
-            if t1 > cur:
-                # every entry at cur is consumed, and pushes are always
-                # strictly in the future: cur's first-seq key is dead
-                fs.pop(cur, None)
-                # nothing due now — advance inline only while the
-                # engine has nothing to run first: any ready-deque
-                # entry, or an engine heap entry at or before t1,
-                # could issue traffic that must interleave with ours
-                if eready or (eheap and eheap[0][0] <= t1):
+        entry = first
+        # the heap's least entry once taken off, awaiting the checks
+        nxt = None
+        while True:
+            if entry is None:
+                if nxt is None:
+                    if not heap:
+                        break
+                    nxt = heappop(heap)
+                if nxt[0] > cur:
+                    # nothing due now — advance inline only while
+                    # the engine has nothing to run first: any
+                    # ready-deque entry, or an engine heap entry at
+                    # or before this one, could issue traffic that
+                    # must interleave with ours
+                    if eready or (eheap and eheap[0][0] <= nxt[0]):
+                        heappush(heap, nxt)
+                        break
+                    cur = nxt[0]
+                entry = nxt
+                nxt = None
+                if (cur == now and entry[2] >= 0
+                        and (eready or (eheap and eheap[0][0] <= now))):
+                    # contested current instant: route the entry
+                    # through the engine scheduler at its own
+                    # (t, seq) slot
+                    self.parked += 1
+                    eng._sched_at_seq(
+                        entry[0], entry[2], _K_CALL1,
+                        self._parked_fire if entry[3] == 0
+                        else self._parked, entry)
+                    entry = None
+                    continue
+            t, _phase, seq, code, arg, d = entry
+            entry = None
+            if d is not drv:
+                drv = d
+                members = drv.members
+                pend = drv.pend
+                inbox = drv.inbox
+                step_i = drv.step_i
+                steps = drv.steps
+            if code:
+                src, dst, dstep, nb = arg
+                if code == 1:
+                    # rendezvous header delivered at the receiver
+                    pe = pend[dst]
+                    if pe is not None and pe[0] == dstep:
+                        # receive already posted: match,
+                        # clear-to-send goes back
+                        tq = t + cts_delay
+                        eng._seq += 1
+                        sq = eng._seq
+                        heappush(heap, (tq, 0, sq, 2, arg, drv))
+                        if tq == wake_at and sq < wake_seq:
+                            wake_seq = self._demote(tq, sq)
+                    else:
+                        inbox[(dst, dstep)] = ("h", src, nb)
+                    continue
+                # rendezvous data phase — a real heap callback in
+                # the per-message schedule too
+                free, arr = transfer(members[src], members[dst], nb, t)
+                sa = eng._seq + 1
+                sb = sa + 1
+                eng._seq = sb
+                pe = pend[src]
+                pe[1] = free
+                pe[2] = sa
+                pe = pend[dst]
+                pe[3] = arr
+                pe[4] = sb
+                for q in (src, dst):
+                    pe = pend[q]
+                    if pe[1] is None or pe[3] is None:
+                        continue
+                    pend[q] = None
+                    step_i[q] += 1
+                    if pe[3] >= pe[1]:
+                        tq, sq = pe[3], pe[4]
+                    else:
+                        tq, sq = pe[1], pe[2]
+                    heappush(heap, (tq, 1, sq, 0, q, drv))
+                    if tq == wake_at and sq < wake_seq:
+                        wake_seq = self._demote(tq, sq)
+                continue
+            # rank r resumes: walk its step cascade
+            r = arg
+            step = steps[r]
+            while True:
+                k = step_i[r]
+                st = step(k)
+                if st is None:
+                    ev = drv.site.events[r]
+                    val = drv.results[r]
+                    drv.done += 1
+                    if drv.done == drv.p:
+                        self.unfinished -= 1
+                        drv.release()
+                    if t > now:
+                        # walked ahead of the engine clock: re-enter
+                        # the scheduler so the rank resumes at its
+                        # true exit time, at the waking entry's own
+                        # seq slot
+                        eng._sched_at_seq(t, seq, _K_FIRE, ev, val)
+                    elif seq < 0 and ev._waiters:
+                        # the cascade holds the deque position the
+                        # detailed continuation would have run at:
+                        # resume inline
+                        ev._value = val
+                        task = ev._waiters.pop()
+                        eng._step(task, val)
+                        # the task may have entered a macro round
+                        # and pumped, moving the wake
+                        wake_at = self.wake_at
+                        wake_seq = self.wake_seq
+                    else:
+                        ev.fire(val)
                     break
-                cur = t1
-            entry = heappop(heap)
-            t, _phase, seq, code, arg, drv = entry
-            if (seq >= 0 and cur == now
-                    and (eready or (eheap and eheap[0][0] <= now))):
-                # contested current instant: route the entry through
-                # the engine scheduler at its own (t, seq) slot
-                self.parked += 1
-                if code == 0:
-                    eng._sched_at_seq(t, seq, _K_CALL1, self._parked_fire,
-                                      (drv, arg, seq))
+                dst, dstep, nb, src = st
+                if dst < 0:
+                    sendT = 0.0
+                    sbind = -1
+                elif nb <= eager:
+                    nsent += 1
+                    free, arr = transfer(members[r], members[dst], nb, t)
+                    sendT = free
+                    sbind = eng._seq + 1   # send-event fire
+                    dseq = sbind + 1       # delivery
+                    eng._seq = dseq
+                    pe = pend[dst]
+                    if pe is None or pe[0] != dstep:
+                        inbox[(dst, dstep)] = ("e", arr, dseq)
+                    elif pe[1] is None:
+                        # the receiver's own rendezvous send pends
+                        pe[3] = arr
+                        pe[4] = dseq
+                    else:
+                        # the receiver waited only for this message
+                        pend[dst] = None
+                        step_i[dst] += 1
+                        if arr >= pe[1]:
+                            tq, sq = arr, dseq
+                        else:
+                            tq, sq = pe[1], pe[2]
+                        heappush(heap, (tq, 1, sq, 0, dst, drv))
+                        if tq == wake_at and sq < wake_seq:
+                            wake_seq = self._demote(tq, sq)
                 else:
-                    eng._sched_at_seq(t, seq, _K_CALL1, self._parked_heap,
-                                      entry)
-                continue
-            if code == 0:
-                # initial entries (seq < 0) and uncontested resumptions
-                # run in the current continuation
-                self._casc(drv, arg, t, seq, seq < 0)
-                continue
-            self._heap_entry(t, code, arg, drv)
-        if not heap:
-            fs.clear()
+                    nsent += 1
+                    _, tq = transfer(members[r], members[dst], RTS_BYTES,
+                                     t)
+                    eng._seq += 1
+                    sq = eng._seq
+                    heappush(heap, (tq, 0, sq, 1, (r, dst, dstep, nb),
+                                    drv))
+                    if tq == wake_at and sq < wake_seq:
+                        wake_seq = self._demote(tq, sq)
+                    sendT = sbind = None
+                if src < 0:
+                    # send-only step: wait for the sender-free event
+                    if sendT is None:
+                        pend[r] = [k, None, None, 0.0, -1]
+                        break
+                    tq, sq = sendT, sbind
+                else:
+                    ib = inbox.pop((r, k), None)
+                    if ib is None:
+                        pend[r] = [k, sendT, sbind, None, None]
+                        break
+                    if ib[0] == "h":
+                        # unmatched rendezvous header: posting the
+                        # receive sends the clear-to-send immediately
+                        pend[r] = [k, sendT, sbind, None, None]
+                        tq = t + cts_delay
+                        eng._seq += 1
+                        sq = eng._seq
+                        heappush(heap, (tq, 0, sq, 2,
+                                        (ib[1], r, k, ib[2]), drv))
+                        if tq == wake_at and sq < wake_seq:
+                            wake_seq = self._demote(tq, sq)
+                        break
+                    arrT = ib[1]
+                    if dst < 0 and arrT <= t:
+                        # receive-only, already in the unexpected
+                        # queue: continue inline, keeping this
+                        # cascade's ordering token
+                        step_i[r] += 1
+                        continue
+                    if sendT is None:
+                        # rendezvous send still pending; receive
+                        # resolved
+                        pend[r] = [k, None, None, arrT, ib[2]]
+                        break
+                    if arrT >= sendT:
+                        tq, sq = arrT, ib[2]
+                    else:
+                        tq, sq = sendT, sbind
+                step_i[r] += 1
+                # the rank's resumption goes in and the least entry
+                # comes out in one heap operation
+                nxt = heappushpop(heap, (tq, 1, sq, 0, r, drv))
+                if tq == wake_at and sq < wake_seq:
+                    wake_seq = self._demote(tq, sq)
+                break
+        perf_counters.messages_coalesced += nsent
         if heap:
             t0 = heap[0][0]
             if t0 < self.wake_at:
-                s0 = fs.get(t0, heap[0][2])
+                s0 = _first_seq(heap)
                 self.wake_at = t0
                 self.wake_seq = s0
                 eng._sched_at_seq(t0, s0 - 0.5, _K_CALL1, self._wake, None)
@@ -600,24 +631,24 @@ def allgather(comm: "Communicator", value: Any,
         return (yield from detailed.allgather(comm, value, nbytes))
     p = comm.size
 
-    def size_of(site: _MacroSite, j: int) -> int:
-        # forwarded block sizes are needed by every rank along the
-        # ring: memoize per origin on the site
-        sz = site.extra.get(j)
-        if sz is None:
-            sz = site.extra[j] = _block_size(site.values[j], nbytes)
-        return sz
-
     def prog_for(site: _MacroSite, r: int) -> _StepFn:
         right = (r + 1) % p
         left = (r - 1) % p
+        values = site.values
+        # forwarded block sizes are needed by every rank along the
+        # ring: memoize per origin on the site
+        sizes = site.extra
 
         def step(i: int) -> Optional[tuple]:
             # step i forwards origin r - i's block: that payload is
             # known by the time the block has propagated here
             if i >= p - 1:
                 return None
-            return right, i, size_of(site, (r - i) % p), left
+            j = (r - i) % p
+            sz = sizes.get(j)
+            if sz is None:
+                sz = sizes[j] = _block_size(values[j], nbytes)
+            return right, i, sz, left
 
         return step
 
@@ -633,6 +664,12 @@ def allgather(comm: "Communicator", value: Any,
 
     return (yield from _macro_site(comm, "allgather", value, prog_for,
                                    results_for))
+
+
+def _plain(v: Any) -> Any:
+    """A 1-D array as a list: index plain ints, not numpy scalars,
+    exactly like the detailed pairwise loop (results restore dtype)."""
+    return v.tolist() if isinstance(v, np.ndarray) and v.ndim == 1 else v
 
 
 def _pairwise(p: int, r: int, vals, nbytes: Optional[int]) -> _StepFn:
@@ -655,21 +692,27 @@ def alltoall(comm: "Communicator", values: list,
     p = comm.size
 
     def prog_for(site: _MacroSite, r: int) -> _StepFn:
+        # the step function reads the values only for their sizes
         v = site.values[r]
-        # index plain ints, not numpy scalars, exactly like the detailed
-        # pairwise loop; np.asarray below restores dtype
-        vr = (v.tolist() if isinstance(v, np.ndarray) and v.ndim == 1
-              else v)
-        site.extra[r] = vr
-        return _pairwise(p, r, vr, nbytes_each)
+        return _pairwise(p, r, v if nbytes_each is not None else _plain(v),
+                         nbytes_each)
 
     def results_for(site: _MacroSite) -> list:
-        vals = site.extra
+        arrays = [site.values[s] for s in range(p)]
+        dt = getattr(arrays[0], "dtype", None)
+        if (dt is not None and dt.kind in "biuf" and dt.itemsize <= 8
+                and all(isinstance(v, np.ndarray) and v.shape == (p,)
+                        and v.dtype == dt for v in arrays)):
+            # one P x P transpose, rank r's result in row r: booleans,
+            # integers and floats up to 64 bits come through detailed's
+            # detour via Python scalars unchanged
+            return list(np.stack(arrays, axis=1))
+        vals = [_plain(v) for v in arrays]
         results = []
         for r in range(p):
             out = [vals[s][r] for s in range(p)]
-            if isinstance(site.values[r], np.ndarray):
-                out = np.asarray(out, dtype=site.values[r].dtype)
+            if isinstance(arrays[r], np.ndarray):
+                out = np.asarray(out, dtype=arrays[r].dtype)
             results.append(out)
         return results
 

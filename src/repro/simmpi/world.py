@@ -59,7 +59,7 @@ class CommDescriptor:
     """State shared by every rank's handle on one communicator."""
 
     __slots__ = ("ctx", "members", "rank_of", "sites", "fidelities",
-                 "node_cache", "domains")
+                 "node_cache", "shared")
 
     def __init__(self, ctx: int, members: list[int]):
         self.ctx = ctx
@@ -74,9 +74,9 @@ class CommDescriptor:
         #: node -> (leader, members) cache for the nodeagg protocol
         #: (:func:`repro.mpiio.nodeagg.node_groups`)
         self.node_cache: dict[int, tuple[int, list[int]]] = {}
-        #: the latest two-phase call's aggregators and file domains,
-        #: shared by its ranks (:func:`repro.mpiio.two_phase._file_domains`)
-        self.domains: Optional[tuple] = None
+        #: ``(key, value)`` built once for the latest collective call's
+        #: ranks (:meth:`Communicator.once_per_call`)
+        self.shared: Optional[tuple] = None
 
 
 class _Site:
@@ -370,6 +370,26 @@ class Communicator:
     @property
     def backend(self) -> CollectiveBackend:
         return self._backend if self._backend is not None else self.world.backend
+
+    def once_per_call(self, tag: Any, build: Callable[[], Any]) -> Any:
+        """``build()`` for the collective this rank has just completed,
+        built by the call's first rank through and shared with the rest.
+
+        Every rank of a collective holds the same result, so whatever is
+        derived from it alone is built once per call instead of once
+        per rank.  ``tag`` names what is built and every per-rank input
+        the build reads (hints, say): a rank whose tag differs builds
+        its own, as every rank would without the sharing.  One slot per
+        communicator suffices: no rank can finish the communicator's
+        next collective before every rank has passed this lookup.
+        """
+        key = (self._op_seq, tag)
+        held = self.desc.shared
+        if held is not None and held[0] == key:
+            return held[1]
+        value = build()
+        self.desc.shared = (key, value)
+        return value
 
     def with_backend(self, backend: str | CollectiveBackend) -> "Communicator":
         """A handle on the same group whose collectives run through
@@ -856,11 +876,21 @@ class Communicator:
                                             category=category)
         if color is None:
             return None
-        members_group = sorted(
-            (k, r) for (c, k, r) in entries if c == color
-        )
-        members_world = [self.desc.members[r] for (_, r) in members_group]
-        desc = self.world.derive_comm(self.desc, split_seq, color, members_world)
+        groups = self.once_per_call(
+            "split", lambda: _split_groups(entries, self.desc.members))
+        desc = self.world.derive_comm(self.desc, split_seq, color,
+                                      groups[color])
         sub = type(self)(self.proc, desc)
         sub._backend = self._backend  # children inherit any override
         return sub
+
+
+def _split_groups(entries: list, members: list[int]) -> dict:
+    """World ranks of each color's new group, in ``(key, rank)`` order,
+    from a split's allgathered ``(color, key, rank)`` entries."""
+    by_color: dict = {}
+    for c, k, r in entries:
+        if c is not None:
+            by_color.setdefault(c, []).append((k, r))
+    return {c: [members[r] for _, r in sorted(group)]
+            for c, group in by_color.items()}

@@ -131,11 +131,10 @@ class TestRetryPolicy:
         assert a == b
         assert 1e-3 <= a <= 1.5e-3
 
-    def test_with_validates(self):
-        pol = RetryPolicy()
-        assert pol.with_(max_attempts=3).max_attempts == 3
+    def test_constructor_validates(self):
+        assert RetryPolicy(max_attempts=3).max_attempts == 3
         with pytest.raises(ConfigError, match="max_attempts"):
-            pol.with_(max_attempts=0)
+            RetryPolicy(max_attempts=0)
 
 
 class TestInjector:

@@ -50,11 +50,6 @@ class TestStripeLayout:
         offs, lens, osts = lay.chunks([0, 50], [0, 10])
         assert offs.tolist() == [50]
 
-    def test_bytes_per_ost(self):
-        lay = StripeLayout(stripe_size=100, stripe_count=2, n_osts=2)
-        per = lay.bytes_per_ost([0], [400])
-        assert per == {0: 200, 1: 200}
-
     def test_invalid_params(self):
         with pytest.raises(FileSystemError):
             StripeLayout(0, 1, 4)

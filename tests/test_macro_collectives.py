@@ -18,6 +18,7 @@ ledger error.
 
 from __future__ import annotations
 
+import heapq
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from repro.perf import perf_counters
 from repro.sim.effects import Sleep
 from repro.sim.resources import ServiceProfile
 from repro.simmpi import World
+from repro.simmpi.collectives_macro import _Walker
 from repro.simmpi.payload import Payload
 from repro.simmpi.reduce_ops import SUM
 
@@ -287,6 +289,33 @@ def test_mismatched_collectives_raise():
                   net_params=NetworkParams())
     with pytest.raises(MPIError):
         world.launch(program)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_wake_seq_is_lowest_seq_at_wake_time(seed):
+    # the wake must order before every entry it will requeue: with the
+    # entries at its timestamp spread over the heap (phases mixed, later
+    # timestamps interleaved), its seq is the lowest of theirs
+    rng = np.random.default_rng(seed)
+    world = World(MachineConfig(nprocs=2, cores_per_node=1),
+                  collective_mode="macro", net_params=NetworkParams())
+    walker = _Walker(world)
+    eng = world.engine
+    t0 = 1e-3
+    seqs = rng.permutation(200).tolist()
+    for i, seq in enumerate(seqs):
+        t = t0 if i % 3 == 0 else t0 + 1e-6 * (i % 7 + 1)
+        # low seqs in phase 1: the top is a phase-0 entry, not the lowest
+        phase = 1 if seq < 100 else 0
+        heapq.heappush(walker.heap, (t, phase, seq, 0, 0, None))
+    due = [e[2] for e in walker.heap if e[0] == t0]
+    lowest = min(due)
+    assert walker.heap[0][2] != lowest, "the top already holds the lowest seq"
+    # a foreign engine entry before t0 keeps the pump from walking ahead
+    eng.call_at(t0 / 2, lambda: None)
+    walker.pump()
+    assert (walker.wake_at, walker.wake_seq) == (t0, lowest)
+    assert (t0, lowest - 0.5) in [e[:2] for e in eng._heap]
 
 
 def test_macro_counters_increment():

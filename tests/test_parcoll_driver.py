@@ -137,6 +137,58 @@ def test_subgroup_comm_cached_across_calls():
     assert all(n == 18 for n in results)
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_setup_built_once_per_call(monkeypatch, mode):
+    """Every rank holds the same gathered extents and split entries, so
+    each call looks its plan up once and each split sorts its groups
+    once, not once per rank; every group still shares one context."""
+    from repro.parcoll import driver
+    from repro.simmpi import world as world_mod
+
+    counts = {"plan": 0, "split": 0, "dist": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(driver, "_plan_for_call",
+                        counting("plan", driver._plan_for_call))
+    monkeypatch.setattr(driver, "_distribute",
+                        counting("dist", driver._distribute))
+    monkeypatch.setattr(world_mod, "_split_groups",
+                        counting("split", world_mod._split_groups))
+    nprocs, ngroups, block = 16, 4, 64
+    st = Stack(nprocs=nprocs, collective_mode=mode)
+
+    def program(comm, io):
+        f = yield from io.open(comm, "once", hints={
+            "protocol": "parcoll", "parcoll_ngroups": ngroups,
+            "parcoll_replan": "always"})
+        for step in range(2):
+            yield from f.write_at_all(comm.rank * block,
+                                      rank_pattern(comm.rank + step, block))
+        subs = [v[0] for k, v in f.shared.parcoll_cache.items()
+                if isinstance(k[0], driver._Grouping) and k[1] == comm.rank]
+        yield from f.close()
+        return subs[0].desc.ctx, subs[0].desc.members
+
+    results = st.run(program)
+    # two calls re-plan; the grouping (one split, one distribution) holds
+    assert counts == {"plan": 2, "split": 1, "dist": 1}
+    groups = {}
+    for r, (ctx, members) in enumerate(results):
+        assert r in members
+        groups.setdefault(ctx, members)
+        assert groups[ctx] == members
+    assert len(groups) == ngroups
+    assert sorted(r for m in groups.values() for r in m) == list(range(nprocs))
+    np.testing.assert_array_equal(
+        st.file_bytes("once"),
+        np.concatenate([rank_pattern(r + 1, block) for r in range(nprocs)]))
+
+
 def test_parcoll_model_mode_covers_file():
     st = Stack(nprocs=8, store_data=False)
     block = 1 << 14
