@@ -55,6 +55,7 @@ def write_mode_result(path: pathlib.Path, benchmark: str, mode: str,
                  "cpus": os.cpu_count(),
                  "python": platform.python_version(),
                  "machine": platform.machine(), **result}
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 

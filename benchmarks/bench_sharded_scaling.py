@@ -26,8 +26,10 @@ checks three things:
 3. **Scale** — one run at >= 16384 ranks must complete; its wall time
    and shard block are recorded as the Jaguar-direction headline.
 
-Results land in ``BENCH_sharded_scaling.json`` at the repo root, one
-stamped entry per mode, so a smoke run never replaces the full result.
+The full result lands in ``BENCH_sharded_scaling.json`` at the repo
+root.  A smoke run writes its entry to the git-ignored
+``benchmarks/logs/BENCH_sharded_scaling_smoke.json`` instead, so it
+leaves the tree clean and never replaces the full result.
 
 Run directly (not under pytest)::
 
@@ -53,6 +55,7 @@ from repro.harness.hotpath import run_shard_scale
 
 HERE = pathlib.Path(__file__).resolve().parent
 OUT = HERE.parent / "BENCH_sharded_scaling.json"
+SMOKE_OUT = HERE / "logs" / "BENCH_sharded_scaling_smoke.json"
 
 #: virtual-time metrics that must be identical at every shard count
 _EXACT = ("elapsed_total", "write_bandwidth", "messages")
@@ -147,8 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     if scale is not None:
         payload["scale_run"] = scale
-    write_mode_result(OUT, "sharded_scaling", mode, payload)
-    print(f"wrote the {mode} entry of {OUT}")
+    out = SMOKE_OUT if args.smoke else OUT
+    write_mode_result(out, "sharded_scaling", mode, payload)
+    print(f"wrote the {mode} entry of {out}")
 
     if errors:
         for e in errors:

@@ -22,6 +22,31 @@ Design notes
   on an already-fired event completes immediately, in a tight loop
   without touching the scheduler, which matters: large collective-I/O
   runs execute millions of effects.
+* A task may also yield a generator, which the engine runs as a
+  *subroutine*: the caller waits on the task's ``stack`` while the
+  engine drives the generator directly, then gets its return value or
+  exception at the ``yield``.  Values, virtual times and the effect
+  count are those of ``yield from`` (the call and the return are not
+  effects), but each resumption enters one frame instead of the whole
+  caller chain.  ``yield from`` stays the convention;
+  ``Communicator._collective`` is the one subroutine call site.
+* :meth:`Event.fire_lazily_at` reserves a fire's ``(t, seq)`` slot as
+  :meth:`Event.fire_at` would, but pushes no heap entry.  A wait on the
+  event, or a ``fired``/``value`` read, settles it (:meth:`_settle`):
+  if the slot has passed — ``t < now``, or ``t == now`` and the
+  dispatch in progress (``_dispatch_seq``: the dispatched heap entry's
+  seq, infinity while the ready deque drains) comes after it — the
+  event counts as fired with None; otherwise its fire is pushed at
+  exactly ``(t, seq)``.  The slot is reserved before the clock reaches
+  ``t``, and every such entry at ``t`` dispatches, in seq order, before
+  the deque drains: so the event is seen fired exactly when its heap
+  entry would have been dispatched.  The invariant is that the heap
+  holds the entry whenever anything can act on it: an unsettled mark
+  has no waiters, so its dispatch would do nothing.  The macro walker
+  depends on it, because it reads the engine heap to decide how far it
+  may advance inline (:mod:`repro.simmpi.collectives_macro`).  Eager
+  send completions, which their senders rarely await before they pass,
+  fire this way.
 * Diagnostic strings (task blocking state, event names) are kept as
   cheap tuples and rendered only when a diagnostic is actually printed —
   formatting them eagerly used to cost an f-string per message.
@@ -47,12 +72,14 @@ import gc
 import heapq
 import time
 from collections import deque
+from types import GeneratorType
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import DeadlockError, SimulationError, TaskFailedError
 from repro.sim.effects import Sleep, WaitEvent
 
 _PENDING = object()
+_INF = float("inf")
 
 #: scheduler entry kinds, dispatched in the run loop
 _K_FN = 0     # a()
@@ -84,20 +111,27 @@ class Event:
     formatting strings per event.
     """
 
-    __slots__ = ("engine", "name", "_value", "_waiters")
+    __slots__ = ("engine", "name", "_value", "_waiters", "_at", "_at_seq")
 
     def __init__(self, engine: "Engine", name: Any = "event"):
         self.engine = engine
         self.name = name
         self._value: Any = _PENDING
         self._waiters: list[Task] = []
+        #: time of an unsettled :meth:`fire_lazily_at` slot, else None;
+        #: ``_at_seq`` holds the slot's seq while ``_at`` is set
+        self._at: Optional[float] = None
 
     @property
     def fired(self) -> bool:
+        if self._at is not None:
+            self.engine._settle(self)
         return self._value is not _PENDING
 
     @property
     def value(self) -> Any:
+        if self._at is not None:
+            self.engine._settle(self)
         if self._value is _PENDING:
             raise SimulationError(
                 f"event {_label(self.name)!r} read before being fired")
@@ -121,6 +155,19 @@ class Event:
         """Schedule this event to fire at virtual time ``t``."""
         self.engine._sched(t, _K_FIRE, self, value)
 
+    def fire_lazily_at(self, t: float) -> None:
+        """``fire_at(t)``, with the heap entry pushed only if a task
+        waits on the event, or reads it, before ``t`` has passed (see
+        the module notes).  A same-time fire, or one that a task already
+        waits on, is scheduled as ``fire_at`` schedules it."""
+        engine = self.engine
+        if t <= engine.now or self._waiters:
+            engine._sched(t, _K_FIRE, self, None)
+            return
+        engine._seq += 1
+        self._at = t
+        self._at_seq = engine._seq
+
     def fire_later(self, dt: float, value: Any = None) -> None:
         """Schedule this event to fire ``dt`` seconds from now."""
         engine = self.engine
@@ -135,13 +182,16 @@ class Task:
     a diagnostic actually needs it, so spawning costs no f-string.
     """
 
-    __slots__ = ("engine", "gen", "_name", "done", "result", "error",
-                 "state", "_tid")
+    __slots__ = ("engine", "gen", "stack", "_name", "done", "result",
+                 "error", "state", "_tid")
 
     def __init__(self, engine: "Engine", gen: Generator[Any, Any, Any],
                  name: Any = None):
         self.engine = engine
+        #: the generator the engine resumes: the innermost subroutine
         self.gen = gen
+        #: callers suspended on a subroutine yield, outermost first
+        self.stack: list[Generator[Any, Any, Any]] = []
         self._name = name
         self.done = False
         self.result: Any = None
@@ -229,6 +279,9 @@ class Engine:
         self.heap_pushes = 0
         #: scheduler entries that bypassed the heap via the ready deque
         self.heap_bypasses = 0
+        #: seq of the heap entry being dispatched; infinity while the
+        #: ready deque drains (see :meth:`_settle`)
+        self._dispatch_seq: float = _INF
         #: cyclic-GC passes per generation, and host seconds spent in
         #: them, while :meth:`run` was executing (any thread's passes)
         self.gc_collections = [0, 0, 0]
@@ -275,6 +328,20 @@ class Engine:
             raise SimulationError(f"cannot schedule in the past: {t} < {self.now}")
         self.heap_pushes += 1
         heapq.heappush(self._heap, (t, seq, kind, a, b))
+
+    def _settle(self, ev: Event) -> bool:
+        """Resolve ``ev``'s :meth:`Event.fire_lazily_at` slot: fire it
+        now and return True if the slot has passed, else push its fire
+        at exactly that slot and return False."""
+        t = ev._at
+        ev._at = None
+        now = self.now
+        if t < now or (t == now and ev._at_seq < self._dispatch_seq):
+            ev.fire()
+            return True
+        self.heap_pushes += 1
+        heapq.heappush(self._heap, (t, ev._at_seq, _K_FIRE, ev, None))
+        return False
 
     def call_at(self, t: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` at virtual time ``t`` (>= now)."""
@@ -327,11 +394,26 @@ class Engine:
                     else:
                         effect = send(value)
                 except StopIteration as stop:
-                    self._finish(task, result=stop.value)
-                    return
+                    if not task.stack:
+                        self._finish(task, result=stop.value)
+                        return
+                    # a subroutine returned: resume its caller with the
+                    # value (the return is not an effect)
+                    n -= 1
+                    gen = task.gen = task.stack.pop()
+                    send = gen.send
+                    value = stop.value
+                    continue
                 except BaseException as exc:  # noqa: BLE001 - fails the run
-                    self._finish(task, error=exc)
-                    return
+                    if not task.stack:
+                        self._finish(task, error=exc)
+                        return
+                    # a subroutine raised: raise it in its caller
+                    n -= 1
+                    gen = task.gen = task.stack.pop()
+                    send = gen.send
+                    throw = exc
+                    continue
 
                 cls = effect.__class__
                 if cls is Event:
@@ -340,6 +422,9 @@ class Engine:
                     # the wrapper allocation entirely
                     if effect._value is not _PENDING:
                         value = effect._value
+                        continue
+                    if effect._at is not None and self._settle(effect):
+                        value = None
                         continue
                     task.state = ("waiting", effect.name)
                     effect._waiters.append(task)
@@ -367,13 +452,26 @@ class Engine:
                     if ev._value is not _PENDING:
                         value = ev._value
                         continue
+                    if ev._at is not None and self._settle(ev):
+                        value = None
+                        continue
                     task.state = ("waiting", ev.name)
                     ev._waiters.append(task)
                     return
+                elif cls is GeneratorType:
+                    # a subroutine call: drive the generator directly,
+                    # its caller suspended (the call is not an effect)
+                    n -= 1
+                    task.stack.append(gen)
+                    gen = task.gen = effect
+                    send = gen.send
+                    value = None
                 else:
                     throw = SimulationError(
                         f"task {task.name!r} yielded a non-effect: {effect!r} "
-                        "(blocking helpers must be invoked with 'yield from')"
+                        "(yield a Sleep, a WaitEvent, an Event, or a "
+                        "generator to run as a subroutine; blocking "
+                        "helpers are invoked with 'yield from')"
                     )
                     value = None
         finally:
@@ -443,6 +541,7 @@ class Engine:
             # heap entries due at the current time precede every ready
             # entry (they were scheduled earlier — smaller seq)
             if ready and not (heap and heap[0][0] <= now):
+                self._dispatch_seq = _INF
                 kind, a, b = popleft()
                 # while ready drains the clock is pinned, so every new
                 # heap entry is strictly in the future: dispatch the
@@ -466,8 +565,9 @@ class Engine:
                     if sb > now:
                         self.now = sb
                     return self.now
-                t, _seq, kind, a, b = pop(heap)
+                t, seq, kind, a, b = pop(heap)
                 self.now = now = t
+                self._dispatch_seq = seq
             else:
                 break
             if kind == _K_STEP:

@@ -153,16 +153,12 @@ class World:
         if nbytes <= self._eager_threshold:
             free, arrival = self.network.transfer(src, dst, nbytes)
             msg = Message(ctx, src, dst, tag, payload, False, None, seq)
-            # inlined engine._sched for the two per-message entries;
-            # transfer() never returns a time before now
+            # the sender rarely waits on its completion before it has
+            # passed: reserve the fire's slot, push it only if awaited
+            send_event.fire_lazily_at(free)
+            # inlined engine._sched for the delivery; transfer() never
+            # returns a time before now
             now = eng.now
-            if free == now:
-                eng.heap_bypasses += 1
-                eng._ready.append((_K_FIRE, send_event, None))
-            else:
-                eng._seq += 1
-                eng.heap_pushes += 1
-                heappush(eng._heap, (free, eng._seq, _K_FIRE, send_event, None))
             if arrival == now:
                 eng.heap_bypasses += 1
                 eng._ready.append((_K_CALL1, self._deliver, msg))
@@ -615,7 +611,9 @@ class Communicator:
             path = macro_path
         else:
             path = detailed_path
-        result = yield from path()
+        # the engine runs the path as a subroutine: each of its message
+        # steps resumes one frame, not the caller's yield-from chain
+        result = yield path()
         self._charge(category, t0)
         return result
 

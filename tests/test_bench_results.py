@@ -67,6 +67,8 @@ def hotpath(monkeypatch, tmp_path):
     monkeypatch.setattr(mod, "REF", tmp_path / "ref.json")
     monkeypatch.setattr(mod, "SMOKE_BASELINE", tmp_path / "base.json")
     monkeypatch.setattr(mod, "OUT", tmp_path / "BENCH_hotpath.json")
+    monkeypatch.setattr(mod, "SMOKE_OUT",
+                        tmp_path / "logs" / "BENCH_hotpath_smoke.json")
     perf = dict.fromkeys(
         ("effects_dispatched", "events_per_sec", "heap_pushes",
          "heap_bypasses", "exact_matches", "wildcard_matches",
@@ -100,8 +102,9 @@ def test_hotpath_status_is_per_config(hotpath, capsys):
     status = {line.split(":")[0].strip(): line.rsplit("[", 1)[1][:-1]
               for line in lines if line.endswith("]")}
     assert status == {"a_smoke": "DETERMINISM MISMATCH", "b_smoke": "ok"}
-    doc = json.loads(mod.OUT.read_text())
+    doc = json.loads(mod.SMOKE_OUT.read_text())
     assert doc["smoke"]["determinism_ok"] is False
+    assert not mod.OUT.exists()
 
 
 def test_hotpath_macro_divergence_is_not_a_reference_mismatch(hotpath):
@@ -110,7 +113,7 @@ def test_hotpath_macro_divergence_is_not_a_reference_mismatch(hotpath):
     # from its detailed run
     stub(lambda name, mode: name == "b" and mode == "macro")
     assert mod.main(["--smoke"]) == 1
-    entry = json.loads(mod.OUT.read_text())["smoke"]
+    entry = json.loads(mod.SMOKE_OUT.read_text())["smoke"]
     assert entry["determinism_ok"] is True
     assert entry["macro_equivalence"]["a_smoke"]["bit_identical"] is True
     assert entry["macro_equivalence"]["b_smoke"]["bit_identical"] is False
@@ -147,21 +150,27 @@ def sharded(monkeypatch, tmp_path):
         perf_counter=lambda: clock["wall"],
         process_time=lambda: clock["cpu"]))
     monkeypatch.setattr(mod, "OUT", tmp_path / "BENCH_sharded_scaling.json")
+    monkeypatch.setattr(mod, "SMOKE_OUT",
+                        tmp_path / "logs" / "BENCH_sharded_scaling_smoke.json")
     return mod
 
 
 def test_sharded_smoke_keeps_the_full_result(sharded):
     sharded.OUT.write_text(json.dumps(
         {"benchmark": "sharded_scaling", "mode": "full", "nprocs": 4096}))
+    tracked = sharded.OUT.read_bytes()
     assert sharded.main(["--smoke"]) == 0
-    doc = json.loads(sharded.OUT.read_text())
-    assert doc["full"]["nprocs"] == 4096
+    # the smoke entry goes to the git-ignored log: the tracked full
+    # result stays byte-identical
+    assert sharded.OUT.read_bytes() == tracked
+    doc = json.loads(sharded.SMOKE_OUT.read_text())
     assert doc["smoke"]["nprocs"] == 512
+    assert "full" not in doc
 
 
 def test_sharded_critical_path_is_cpu_over_cpu(sharded):
     assert sharded.main(["--smoke"]) == 0
-    entry = json.loads(sharded.OUT.read_text())["smoke"]
+    entry = json.loads(sharded.SMOKE_OUT.read_text())["smoke"]
     assert [r["cpu_s"] for r in entry["results"]] == [8.0, 0.5, 0.5]
     # unsharded CPU over slowest shard CPU plus coordinator CPU, not the
     # unsharded wall (10 s) over the shard CPU (2 s)

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim import Engine, Event, Sleep, WaitEvent
@@ -167,7 +169,8 @@ def test_yielding_non_effect_raises():
     def prog():
         yield "not an effect"
 
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="generator to run as a "
+                                              "subroutine"):
         eng.run_tasks([prog()])
 
 
@@ -205,3 +208,251 @@ def test_many_tasks_scale():
 
     eng.run_tasks([prog(i) for i in range(1000)])
     assert counter == list(range(1000))
+
+
+# -- subroutine yields ------------------------------------------------------
+# Each case runs one program twice: calling its helpers with ``yield
+# from`` and as engine subroutines (a bare ``yield`` of the generator).
+# Both must log the same values at the same virtual times and dispatch
+# the same number of effects.
+
+def _call_from(gen):
+    return (yield from gen)
+
+
+def _call_sub(gen):
+    return (yield gen)
+
+
+def _both(make_programs):
+    """Run ``make_programs(eng, call, log)`` under both call styles;
+    returns ``(log, results, effects_dispatched)`` per style."""
+    out = []
+    for call in (_call_from, _call_sub):
+        eng = Engine()
+        log = []
+        results = eng.run_tasks(make_programs(eng, call, log))
+        out.append((log, results, eng.effects_dispatched))
+    return out
+
+
+def test_subroutine_resumes_caller_with_its_return_value():
+    def make(eng, call, log):
+        ev = Event(eng, "go")
+
+        def inner(x):
+            yield Sleep(1.0)
+            got = yield ev
+            log.append(("inner", eng.now, got))
+            return x * 2
+
+        def caller():
+            y = yield from call(inner(21))
+            log.append(("caller", eng.now, y))
+            yield Sleep(0.5)
+            return y
+
+        def firer():
+            yield Sleep(3.0)
+            ev.fire("v")
+
+        return [caller(), firer()]
+
+    ref, sub = _both(make)
+    assert sub == ref
+    log, results, _ = sub
+    assert log == [("inner", 3.0, "v"), ("caller", 3.0, 42)]
+    assert results == [42, None]
+
+
+def test_subroutine_exception_reaches_the_caller_at_its_yield():
+    def make(eng, call, log):
+        def inner():
+            yield Sleep(1.0)
+            raise KeyError("inner")
+
+        def caller():
+            try:
+                yield from call(inner())
+            except KeyError as exc:
+                log.append(("caught", eng.now, exc.args[0]))
+            yield Sleep(1.0)
+            return eng.now
+
+        return [caller()]
+
+    ref, sub = _both(make)
+    assert sub == ref
+    assert sub[0] == [("caught", 1.0, "inner")]
+    assert sub[1] == [2.0]
+
+
+def test_uncaught_subroutine_exception_fails_the_run():
+    eng = Engine()
+    boom = ValueError("boom")
+
+    def inner():
+        yield Sleep(1.0)
+        raise boom
+
+    def caller():
+        yield inner()
+        yield Sleep(1.0)
+
+    with pytest.raises(ValueError) as exc:
+        eng.run_tasks([caller()])
+    assert exc.value is boom
+    assert eng.now == 1.0
+
+
+def test_nested_and_non_yielding_subroutines():
+    def make(eng, call, log):
+        def leaf(x):
+            return x + 1
+            yield  # a generator that returns without yielding
+
+        def middle(x):
+            a = yield from call(leaf(x))
+            yield Sleep(0.25)
+            b = yield from call(leaf(a))
+            log.append(("middle", eng.now, b))
+            return b
+
+        def outer():
+            c = yield from call(middle(1))
+            d = yield from call(leaf(c))
+            log.append(("outer", eng.now, d))
+            return d
+
+        return [outer(), outer()]
+
+    ref, sub = _both(make)
+    assert sub == ref
+    assert sub[1] == [4, 4]
+
+
+def test_subroutines_dispatch_as_many_effects_as_yield_from():
+    def make(eng, call, log):
+        ev = Event(eng, "e")
+
+        def step(i):
+            yield Sleep(0.1 * i)
+            if i == 2:
+                yield WaitEvent(ev)
+            return i
+
+        def prog():
+            total = 0
+            for i in range(4):
+                total += yield from call(step(i))
+            return total
+
+        def firer():
+            yield Sleep(1.0)
+            ev.fire()
+
+        return [prog(), firer()]
+
+    ref, sub = _both(make)
+    assert sub == ref
+    assert sub[2] == ref[2] > 0
+
+
+def test_deadlock_inside_a_subroutine_names_the_inner_event():
+    eng = Engine()
+    inner_ev = Event(eng, "inner-never")
+
+    def inner():
+        yield Sleep(1.0)
+        yield inner_ev
+
+    def caller():
+        yield inner()
+
+    eng.spawn(caller(), name="stuck-caller")
+    with pytest.raises(DeadlockError) as exc:
+        eng.run()
+    assert "stuck-caller" in str(exc.value)
+    assert "inner-never" in str(exc.value)
+
+
+
+# -- lazily scheduled fires ---------------------------------------------------
+
+def _run_schedule(lazy, fires, waiters, order):
+    """Run one schedule; ``lazy`` fires through ``fire_lazily_at``, else
+    through ``fire_at`` (the eager reference).
+
+    ``fires[k] = (s, d)``: event k is scheduled at time ``s`` to fire at
+    ``s + d``.  ``waiters[i]`` is a list of ``(dt, via_deque, k, how)``
+    ops: sleep ``dt`` (a heap-stage wake), optionally yield once more at
+    the same time (a deque-stage resumption), then wait on or read
+    event k.  Returns the resume log, the effect count and the heap
+    pushes.
+    """
+    eng = Engine()
+    events = [Event(eng, ("e", k)) for k in range(len(fires))]
+    log = []
+
+    def firer(k, s, d):
+        if s:
+            yield Sleep(s)
+        if lazy:
+            events[k].fire_lazily_at(eng.now + d)
+        else:
+            events[k].fire_at(eng.now + d)
+
+    def waiter(i, ops):
+        for dt, via_deque, k, how in ops:
+            if dt:
+                yield Sleep(dt)
+            if via_deque:
+                yield Sleep(0.0)
+            ev = events[k % len(events)]
+            if how == "event":
+                got = yield ev
+            elif how == "wait":
+                got = yield WaitEvent(ev)
+            elif how == "fired":
+                got = ev.fired
+            else:
+                try:
+                    got = ev.value
+                except SimulationError:
+                    got = "unfired"
+            log.append((i, eng.now, how, got))
+
+    tasks = ([firer(k, s, d) for k, (s, d) in enumerate(fires)]
+             + [waiter(i, ops) for i, ops in enumerate(waiters)])
+    eng.run_tasks([tasks[j] for j in order])
+    return log, eng.effects_dispatched, eng.heap_pushes
+
+
+_TIMES = st.sampled_from([0.0, 1.0, 2.0])
+_OPS = st.lists(st.tuples(_TIMES, st.booleans(), st.integers(0, 3),
+                          st.sampled_from(["event", "wait", "fired",
+                                           "value"])),
+                min_size=1, max_size=3)
+
+
+@given(fires=st.lists(st.tuples(_TIMES, _TIMES), min_size=1, max_size=4),
+       waiters=st.lists(_OPS, min_size=1, max_size=5),
+       perm=st.permutations(range(9)))
+# a deque-stage read at the slot's time, and heap-stage reads whose wake
+# slot comes right after and right before the fire's
+@example(fires=[(0.0, 1.0)], waiters=[[(1.0, True, 0, "fired")]],
+         perm=range(9))
+@example(fires=[(0.0, 1.0)], waiters=[[(1.0, False, 0, "fired")]],
+         perm=range(9))
+@example(fires=[(0.0, 1.0)], waiters=[[(1.0, False, 0, "fired")]],
+         perm=[1, 0])
+def test_lazy_fire_resumes_exactly_like_fire_at(fires, waiters, perm):
+    # the spawn order: tasks are numbered firers first, then waiters
+    order = [j for j in perm if j < len(fires) + len(waiters)]
+    ref_log, ref_effects, ref_pushes = _run_schedule(False, fires, waiters,
+                                                     order)
+    log, effects, pushes = _run_schedule(True, fires, waiters, order)
+    assert log == ref_log
+    assert effects == ref_effects
+    assert pushes <= ref_pushes
+

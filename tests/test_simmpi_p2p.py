@@ -254,3 +254,68 @@ def test_self_send_with_isend():
 
     w.launch(program)
     assert out["v"] == "self"
+
+
+def test_unawaited_eager_send_costs_one_heap_push():
+    # the delivery is the message's only heap entry: the sender's
+    # completion is pushed only if someone waits on it before it passes
+    w = make_world(nprocs=4)
+    got = {}
+
+    def program(comm):
+        if comm.rank == 0:
+            comm.isend(b"x", dest=2, nbytes=8)
+        elif comm.rank == 2:
+            got["data"] = (yield from comm.recv(source=0)).data
+        if False:
+            yield
+
+    w.launch(program)
+    assert got["data"] == b"x"
+    assert w.engine.heap_pushes == 1
+
+
+def _eager_free_time():
+    """Virtual time at which rank 0's first eager 8-byte send to rank 2
+    completes on a fresh :func:`make_world`."""
+    w = make_world(nprocs=4)
+    out = {}
+
+    def program(comm):
+        if comm.rank == 0:
+            yield from comm.send(b"x", dest=2, nbytes=8)
+            out["t"] = comm.now
+        elif comm.rank == 2:
+            yield from comm.recv(source=0)
+
+    w.launch(program)
+    return out["t"]
+
+
+def test_request_complete_turns_true_at_its_slot():
+    t_free = _eager_free_time()
+    assert t_free > 0.0
+    w = make_world(nprocs=4)
+    eng = w.engine
+    seen = []
+    box = []
+
+    def check(label):
+        return lambda: seen.append((label, box[0].complete))
+
+    def program(comm):
+        if comm.rank == 0:
+            # scheduled before the send: same time, an earlier slot
+            eng.call_at(t_free, check("earlier slot"))
+            box.append(comm.isend(b"x", dest=2, nbytes=8))
+            seen.append(("issued", box[0].complete))
+            eng.call_at(t_free / 2, check("before"))
+            eng.call_at(t_free, check("later slot"))
+        elif comm.rank == 2:
+            yield from comm.recv(source=0)
+        if False:
+            yield
+
+    w.launch(program)
+    assert seen == [("issued", False), ("before", False),
+                    ("earlier slot", False), ("later slot", True)]
