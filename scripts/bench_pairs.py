@@ -8,21 +8,26 @@ checkout, T being ``run_seconds`` in BENCHMARK.json, one run at a time,
 for N pairs (default 10).  Pair i runs the parent first when i
 is even and the change first when it is odd, so neither side always
 runs first, into the same slow spell of a shared host or after the
-other has warmed its caches.  For every end-to-end metric in
-BENCHMARK.json it prints each side's median and quartiles, the
-change/parent ratio of each pair, the change's wins, and whether a gain
-claim holds: the change wins at least 9 of every 10 pairs, and its
-median beats the parent's by more than the parent's interquartile
-range.  Exits 1 if a run fails or misses its fingerprint.
+other has warmed its caches.  Each side runs with a bytecode cache of
+its own (``PYTHONPYCACHEPREFIX``), compiled fresh before the first pair
+and warmed by one unmeasured run, so that ``setup_s`` compares code, not
+whatever ``__pycache__`` a checkout happened to hold.  For every
+end-to-end metric in BENCHMARK.json it prints each side's median and
+quartiles, the change/parent ratio of each pair, the change's wins, and
+whether a gain claim holds: the change wins at least 9 of every 10
+pairs, and its median beats the parent's by more than the parent's
+interquartile range.  Exits 1 if a run fails or misses its fingerprint.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,12 +62,30 @@ def claim(parent: list[float], change: list[float], better: str) -> dict:
             "holds": 10 * wins >= 9 * len(parent) and gap > iqr}
 
 
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py --workload`` invocation's JSON result line."""
+def prepare_side(root: Path, prefix: Path) -> dict[str, str]:
+    """The environment for ``root``'s runs: a bytecode cache of its own.
+
+    Compiles the checkout's ``src/`` and ``bench/`` into the fresh
+    directory ``prefix``.  Bytecode writes stay on in the runs too (the
+    children inherit the environment), so a side's first run also caches
+    the standard library and numpy there.
+    """
+    env = {k: v for k, v in os.environ.items()
+           if k != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPYCACHEPREFIX"] = str(prefix)
+    subprocess.run([sys.executable, "-m", "compileall", "-q", "src",
+                    "bench"], cwd=root, env=env, check=True)
+    return env
+
+
+def run_side(root: Path, env: dict[str, str], workload: str, seed: int,
+             *limit: str) -> dict:
+    """One ``bench/run.py --workload`` invocation's JSON result line;
+    ``limit`` is its ``--seconds`` or ``--reps`` option."""
     proc = subprocess.run(
         [sys.executable, str(root / "bench" / "run.py"), "--workload",
-         workload, "--seed", str(seed), "--seconds", str(seconds)],
-        cwd=root, capture_output=True, text=True)
+         workload, "--seed", str(seed), *limit],
+        cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         tail = proc.stderr.strip().splitlines()[-1:] or ["no output"]
@@ -88,15 +111,23 @@ def main(argv: list[str] | None = None) -> int:
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_side(sides[side], args.workload, args.seed,
-                                       spec["run_seconds"]))
-        print(f"pair {i + 1}/{args.pairs} ({order[0]} first): "
-              + "  ".join(f"{m} {runs['parent'][-1][m]:.4g} -> "
-                          f"{runs['change'][-1][m]:.4g}"
-                          for m in runs["parent"][-1]), flush=True)
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        envs = {side: prepare_side(root, Path(tmp) / side)
+                for side, root in sides.items()}
+        # one unmeasured run a side fills the rest of its cache
+        for side, root in sides.items():
+            run_side(root, envs[side], args.workload, args.seed, "--reps", "1")
+        for i in range(args.pairs):
+            order = (("parent", "change") if i % 2 == 0
+                     else ("change", "parent"))
+            for side in order:
+                runs[side].append(run_side(
+                    sides[side], envs[side], args.workload, args.seed,
+                    "--seconds", str(spec["run_seconds"])))
+            print(f"pair {i + 1}/{args.pairs} ({order[0]} first): "
+                  + "  ".join(f"{m} {runs['parent'][-1][m]:.4g} -> "
+                              f"{runs['change'][-1][m]:.4g}"
+                              for m in runs["parent"][-1]), flush=True)
 
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs, "
           "alternating order")

@@ -501,13 +501,12 @@ def _read_and_reply(env: IOEnv, all_counts: np.ndarray, local_want,
     (two aggregators serving each other would otherwise cycle).
     """
     comm = env.comm
-    reqs = [comm.irecv(source=s, tag=TP_TAG + rnd)
-            for s in _sources(all_counts, comm.rank)]
+    sources = _sources(all_counts, comm.rank)
+    reqs = [comm.irecv(source=s, tag=TP_TAG + rnd) for s in sources]
     got = yield from comm.waitall(reqs, category="exchange")
     requests: list[tuple[int, Segments]] = []
-    for (payload, status) in got:
+    for src, (payload, _msg) in zip(sources, got):
         sub_offs, sub_lens = payload.data
-        src = comm.desc.rank_of.get(status.source, status.source)
         requests.append((src, (sub_offs, sub_lens)))
     if local_want is not None:
         requests.append((comm.rank, local_want))

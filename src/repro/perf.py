@@ -11,8 +11,8 @@ Counter sources:
 * the engine counts effects dispatched and scheduler entries by path
   (binary heap vs the same-time ready deque), and the cyclic-GC passes
   and pause seconds that fell inside its run;
-* every mailbox counts matches by path (exact ``(ctx, src, tag)`` bucket
-  hit vs ordered wildcard scan);
+* every mailbox counts its matches (one ``(ctx, src, tag)`` key lookup
+  each);
 * the two-phase hot loops count segments that went through the
   vectorized gather/scatter and the all-rounds planner (process-global
   :data:`perf_counters`, reset at each sampling point).
@@ -38,7 +38,8 @@ class PerfStats:
     heap_bypasses: int = 0
     #: MPI matches resolved via the exact (ctx, src, tag) dict index
     exact_matches: int = 0
-    #: MPI matches that consulted the ordered wildcard path
+    #: always 0: the simulated MPI has no wildcard receives; kept
+    #: because the repo benchmark reports it
     wildcard_matches: int = 0
     #: segments the copy kernel (``datatypes.packing.copy_segments``)
     #: moved by row gather rather than by slice loop
@@ -145,11 +146,8 @@ def collect(world, wall_seconds: float = 0.0,
     """Sample a :class:`PerfStats` from a completed (or running) world."""
     eng = world.engine
     exact = 0
-    wild = 0
     for proc in world.procs:
-        mbox = proc.mailbox
-        exact += mbox.exact_matches
-        wild += mbox.wildcard_matches
+        exact += proc.mailbox.exact_matches
     if reset_hot:
         seg_vec, planned, macro, coalesced = perf_counters.sample_and_reset()
     else:
@@ -163,7 +161,6 @@ def collect(world, wall_seconds: float = 0.0,
         heap_pushes=eng.heap_pushes,
         heap_bypasses=eng.heap_bypasses,
         exact_matches=exact,
-        wildcard_matches=wild,
         segments_vectorized=seg_vec,
         rounds_planned=planned,
         macro_rounds=macro,

@@ -3,8 +3,9 @@
 Used by the ``analytic`` collective backend (and by ``hybrid`` for the
 categories it maps to it): a collective becomes a synchronization site
 whose exit time is ``max(entry times) + cost(op, p, sizes)``.  The
-formulas follow the standard algorithms MPICH/ROMIO uses (binomial trees,
-recursive doubling, pairwise exchange), so detailed and analytic modes
+formulas follow the standard algorithms MPICH/ROMIO uses (dissemination,
+recursive doubling, binomial gather, ring and pairwise exchange), so
+detailed and analytic modes
 agree to first order — an agreement that tests and an ablation benchmark
 check explicitly.
 
@@ -34,17 +35,6 @@ def barrier_cost(params: NetworkParams, p: int) -> float:
     return log2ceil(p) * (o + lat)
 
 
-def bcast_cost(params: NetworkParams, p: int, nbytes: int) -> float:
-    """Binomial-tree broadcast."""
-    o, lat, g = _olg(params)
-    return log2ceil(p) * (o + lat + nbytes * g)
-
-
-def reduce_cost(params: NetworkParams, p: int, nbytes: int) -> float:
-    """Binomial-tree reduction (compute cost negligible vs wire time)."""
-    return bcast_cost(params, p, nbytes)
-
-
 def allreduce_cost(params: NetworkParams, p: int, nbytes: int) -> float:
     """Recursive doubling: log2 p rounds, full vector each round."""
     o, lat, g = _olg(params)
@@ -58,6 +48,7 @@ def gather_cost(params: NetworkParams, p: int, nbytes_each: int) -> float:
 
 
 def scatter_cost(params: NetworkParams, p: int, nbytes_each: int) -> float:
+    """Binomial scatter: the gather tree run in reverse."""
     return gather_cost(params, p, nbytes_each)
 
 
@@ -96,9 +87,3 @@ def alltoallv_cost(params: NetworkParams, p: int, max_send_bytes: int,
     """Pairwise exchange bounded by the busiest sender/receiver."""
     o, lat, g = _olg(params)
     return max(0, p - 1) * (o + lat) + max(max_send_bytes, max_recv_bytes) * g
-
-
-def scan_cost(params: NetworkParams, p: int, nbytes: int) -> float:
-    """Recursive-doubling inclusive scan."""
-    o, lat, g = _olg(params)
-    return log2ceil(p) * (o + lat + nbytes * g)

@@ -1,8 +1,8 @@
 """Detailed collective algorithms executed as simulated message traffic.
 
 These mirror the classic MPICH implementations: dissemination barrier,
-binomial-tree broadcast/reduce/gather, recursive-doubling allreduce and
-scan, ring allgather, and pairwise-exchange alltoall.  All messages travel
+recursive-doubling allreduce, binomial-tree gather and scatter, ring
+allgather, and pairwise-exchange alltoall.  All messages travel
 on the communicator's *collective context* so they can never match user
 point-to-point traffic, and they deliberately bypass the per-category time
 accounting — the caller charges the whole collective to its category.
@@ -18,17 +18,11 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 
 import numpy as np
 
-from repro.simmpi.payload import Payload, sizeof
+from repro.simmpi.payload import Payload
 from repro.simmpi.reduce_ops import ReduceOp
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simmpi.world import Communicator
-
-
-def _pay(obj: Any, nbytes: Optional[int]) -> Payload:
-    if isinstance(obj, Payload):
-        return obj
-    return Payload.of(obj, nbytes)
 
 
 def barrier(comm: "Communicator") -> Generator[Any, Any, None]:
@@ -46,53 +40,6 @@ def barrier(comm: "Communicator") -> Generator[Any, Any, None]:
         dist <<= 1
         k += 1
     return None
-
-
-def bcast(comm: "Communicator", obj: Any, root: int,
-          nbytes: Optional[int]) -> Generator[Any, Any, Any]:
-    """Binomial-tree broadcast rooted at ``root``."""
-    p, r = comm.size, comm.rank
-    tag = comm._op_seq * 64 + 1
-    relative = (r - root) % p
-    mask = 1
-    payload = _pay(obj, nbytes) if r == root else None
-    while mask < p:
-        if relative & mask:
-            src = ((relative - mask) + root) % p
-            payload = (yield comm._coll_irecv(src, tag))[0]
-            break
-        mask <<= 1
-    mask >>= 1
-    reqs = []
-    while mask > 0:
-        if relative + mask < p:
-            dst = ((relative + mask) + root) % p
-            reqs.append(comm._coll_isend(payload, dst, tag))
-        mask >>= 1
-    for req in reqs:
-        yield req
-    return payload.data if isinstance(payload, Payload) else payload
-
-
-def reduce(comm: "Communicator", value: Any, op: ReduceOp, root: int,
-           nbytes: Optional[int]) -> Generator[Any, Any, Any]:
-    """Binomial-tree reduction (commutative operators)."""
-    p = comm.size
-    tag = comm._op_seq * 64 + 2
-    relative = (comm.rank - root) % p
-    acc = value
-    mask = 1
-    while mask < p:
-        if relative & mask:
-            parent = ((relative & ~mask) + root) % p
-            yield comm._coll_isend(acc, parent, tag, nbytes=nbytes)
-            return None
-        src_rel = relative | mask
-        if src_rel < p:
-            payload = (yield comm._coll_irecv((src_rel + root) % p, tag))[0]
-            acc = op(acc, payload.data)
-        mask <<= 1
-    return acc
 
 
 def allreduce(comm: "Communicator", value: Any, op: ReduceOp,
@@ -229,8 +176,6 @@ def scatter(comm: "Communicator", values: Optional[list], root: int,
     tag = comm._op_seq * 64 + 7
     relative = (comm.rank - root) % p
     if relative == 0:
-        if values is None or len(values) != p:
-            raise ValueError(f"scatter root needs {p} values")
         carry = {r: values[(r + root) % p] for r in range(p)}
         b = 1
         while b < p:
@@ -254,76 +199,3 @@ def scatter(comm: "Communicator", values: Optional[list], root: int,
     for req in reqs:
         yield req
     return carry[relative]
-
-
-def reduce_scatter_block(comm: "Communicator", values: list, op: ReduceOp,
-                         nbytes: Optional[int]) -> Generator[Any, Any, Any]:
-    """Reduce p per-destination values, each rank keeping its own slot.
-
-    Implemented as pairwise exchange with on-the-fly reduction (the
-    MPICH algorithm for commutative operators).
-    """
-    p, r = comm.size, comm.rank
-    tag = comm._op_seq * 64 + 9
-    acc = values[r]
-    for i in range(1, p):
-        dst = (r + i) % p
-        src = (r - i) % p
-        sreq = comm._coll_isend(values[dst], dst, tag, nbytes=nbytes)
-        payload = (yield comm._coll_irecv(src, tag))[0]
-        yield sreq
-        acc = op(acc, payload.data)
-    return acc
-
-
-def exscan(comm: "Communicator", value: Any, op: ReduceOp,
-           nbytes: Optional[int]) -> Generator[Any, Any, Any]:
-    """Exclusive scan: rank r gets op-fold of ranks < r (None at rank 0)."""
-    p, r = comm.size, comm.rank
-    tagbase = comm._op_seq * 64 + 10
-    result = None
-    partial = value
-    mask = 1
-    k = 0
-    while mask < p:
-        dst = r + mask
-        src = r - mask
-        sreq = None
-        if dst < p:
-            sreq = comm._coll_isend(partial, dst, tagbase + k, nbytes=nbytes)
-        if src >= 0:
-            payload = (yield comm._coll_irecv(src, tagbase + k))[0]
-            recvd = payload.data
-            result = recvd if result is None else op(recvd, result)
-            partial = op(recvd, partial)
-        if sreq is not None:
-            yield sreq
-        mask <<= 1
-        k += 1
-    return result
-
-
-def scan(comm: "Communicator", value: Any, op: ReduceOp,
-         nbytes: Optional[int]) -> Generator[Any, Any, Any]:
-    """Recursive-doubling inclusive scan."""
-    p, r = comm.size, comm.rank
-    tagbase = comm._op_seq * 64 + 6
-    result = value
-    partial = value
-    mask = 1
-    k = 0
-    while mask < p:
-        dst = r + mask
-        src = r - mask
-        sreq = None
-        if dst < p:
-            sreq = comm._coll_isend(partial, dst, tagbase + k, nbytes=nbytes)
-        if src >= 0:
-            payload = (yield comm._coll_irecv(src, tagbase + k))[0]
-            result = op(payload.data, result)
-            partial = op(payload.data, partial)
-        if sreq is not None:
-            yield sreq
-        mask <<= 1
-        k += 1
-    return result

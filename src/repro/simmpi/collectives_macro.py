@@ -3,15 +3,15 @@
 The ``detailed`` fidelity simulates every collective message as engine
 traffic — one generator resumption, two scheduler entries, a mailbox
 match, and an event fire per message.  For the synchronizing collectives
-(barrier, allgather, alltoall, allreduce, reduce_scatter_block) the
-message schedule is *statically known*: every send's destination, size,
-and matching receive are fixed by the algorithm, and no rank can leave
-before every rank has entered (each exit transitively depends on a
-message from every participant).  The ``macro`` fidelity exploits
-exactly that: participating ranks park on one event apiece while a
-shared per-world *walker* replays the detailed algorithm's message
-schedule as a timestamp-ordered walk over the send/receive dependency
-graph — no per-message tasks, mailboxes, or event objects.
+(barrier, allgather, alltoall, allreduce) the message schedule is
+*statically known*: every send's destination, size, and matching receive
+are fixed by the algorithm, and no rank can leave before every rank has
+entered (each exit transitively depends on a message from every
+participant).  The ``macro`` fidelity exploits exactly that:
+participating ranks park on one event apiece while a shared per-world
+*walker* replays the detailed algorithm's message schedule as a
+timestamp-ordered walk over the send/receive dependency graph — no
+per-message tasks, mailboxes, or event objects.
 
 The walk reproduces the engine's execution *bit-identically*:
 
@@ -48,14 +48,15 @@ The walk reproduces the engine's execution *bit-identically*:
   would have run.  At uncontested timestamps no other actor can observe
   the ordering and the walk advances inline at full speed.
 
-Non-synchronizing collectives (bcast, reduce, gather, scatter, scan,
-exscan) can complete on some ranks before others arrive, so a site-based
-replay would be unsound; under the ``macro`` backend those fall back to
-the detailed message schedule (see :meth:`Communicator._collective`).
-The walk itself falls back when message timestamps are not strictly
-ordered after their causes (``send_overhead == 0`` or ``latency == 0``
-make same-time scheduling possible, which the replay cannot order), and
-for single-rank communicators (whose detailed path never yields).
+``gather`` and ``scatter`` are the detailed fallbacks: a rank can leave
+either before every rank has entered, so a site-based replay would be
+unsound, and under the ``macro`` backend they run the detailed message
+schedule (see
+:meth:`Communicator._collective`).  The walk itself falls back when
+message timestamps are not strictly ordered after their causes
+(``send_overhead == 0`` or ``latency == 0`` make same-time scheduling
+possible, which the replay cannot order), and for single-rank
+communicators (whose detailed path never yields).
 """
 
 from __future__ import annotations
@@ -672,19 +673,6 @@ def _plain(v: Any) -> Any:
     return v.tolist() if isinstance(v, np.ndarray) and v.ndim == 1 else v
 
 
-def _pairwise(p: int, r: int, vals, nbytes: Optional[int]) -> _StepFn:
-    """Rank r's pairwise-exchange step function: step k sends
-    ``vals[r + k + 1]`` to rank r + k + 1 and receives from r - k - 1."""
-    def step(k: int) -> Optional[tuple]:
-        if k >= p - 1:
-            return None
-        dst = (r + k + 1) % p
-        nb = nbytes if nbytes is not None else sizeof(vals[dst])
-        return dst, k, nb, (r - k - 1) % p
-
-    return step
-
-
 def alltoall(comm: "Communicator", values: list,
              nbytes_each: Optional[int]) -> Generator[Any, Any, list]:
     if comm.size == 1 or not _usable(comm):
@@ -692,10 +680,21 @@ def alltoall(comm: "Communicator", values: list,
     p = comm.size
 
     def prog_for(site: _MacroSite, r: int) -> _StepFn:
-        # the step function reads the values only for their sizes
+        # pairwise exchange: step k sends vals[r + k + 1] to rank
+        # r + k + 1 and receives from r - k - 1; the step function reads
+        # the values only for their sizes
         v = site.values[r]
-        return _pairwise(p, r, v if nbytes_each is not None else _plain(v),
-                         nbytes_each)
+        vals = v if nbytes_each is not None else _plain(v)
+
+        def step(k: int) -> Optional[tuple]:
+            if k >= p - 1:
+                return None
+            dst = (r + k + 1) % p
+            nb = (nbytes_each if nbytes_each is not None
+                  else sizeof(vals[dst]))
+            return dst, k, nb, (r - k - 1) % p
+
+        return step
 
     def results_for(site: _MacroSite) -> list:
         arrays = [site.values[s] for s in range(p)]
@@ -718,30 +717,6 @@ def alltoall(comm: "Communicator", values: list,
 
     return (yield from _macro_site(comm, "alltoall", values, prog_for,
                                    results_for))
-
-
-def reduce_scatter_block(comm: "Communicator", values: list, op: ReduceOp,
-                         nbytes: Optional[int]) -> Generator[Any, Any, Any]:
-    if comm.size == 1 or not _usable(comm):
-        return (yield from detailed.reduce_scatter_block(
-            comm, values, op, nbytes))
-    p = comm.size
-
-    def prog_for(site: _MacroSite, r: int) -> _StepFn:
-        return _pairwise(p, r, site.values[r], nbytes)
-
-    def results_for(site: _MacroSite) -> list:
-        vals = site.values
-        results = []
-        for r in range(p):
-            acc = vals[r][r]
-            for i in range(1, p):
-                acc = op(acc, vals[(r - i) % p][r])
-            results.append(acc)
-        return results
-
-    return (yield from _macro_site(
-        comm, "reduce_scatter_block", values, prog_for, results_for))
 
 
 def _allreduce_acc(site: _MacroSite, op: ReduceOp, rem: int, pof2: int,

@@ -1,8 +1,8 @@
-"""Reduction operators for reduce/allreduce/scan.
+"""Reduction operators for allreduce.
 
 Operators are associative binary functions working on scalars and NumPy
-arrays alike.  The set matches what collective I/O needs (SUM for counts,
-MAX/MIN for offsets) plus PROD for completeness.
+arrays alike.  The set is what collective I/O needs: MAX for the
+two-phase round count and ParColl's replan flag, and SUM, the default.
 """
 
 from __future__ import annotations
@@ -33,23 +33,11 @@ def _sum(a, b):
     return a + b
 
 
-def _prod(a, b):
-    return a * b
-
-
 def _max(a, b):
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.maximum(a, b)
     return max(a, b)
 
 
-def _min(a, b):
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.minimum(a, b)
-    return min(a, b)
-
-
 SUM = ReduceOp("sum", _sum)
-PROD = ReduceOp("prod", _prod)
 MAX = ReduceOp("max", _max)
-MIN = ReduceOp("min", _min)

@@ -23,8 +23,8 @@ from repro.sim.engine import _K_CALL1, _K_FIRE, Engine, Event
 from repro.simmpi import analytic, collectives_detailed as detailed
 from repro.simmpi import collectives_macro as macro
 from repro.simmpi.backends import CollectiveBackend, resolve_backend
-from repro.simmpi.p2p import (ANY_SOURCE, ANY_TAG, Mailbox, Message,
-                              PostedRecv, Request, RTS_BYTES, Status, waitall)
+from repro.simmpi.p2p import (Mailbox, Message, PostedRecv, Request,
+                              RTS_BYTES, waitall)
 from repro.simmpi.payload import Payload, sizeof
 from repro.simmpi.reduce_ops import SUM, ReduceOp
 from repro.simmpi.timers import TimeBreakdown
@@ -134,15 +134,9 @@ class World:
     # ------------------------------------------------------------------
     # message transport
     # ------------------------------------------------------------------
-    def send_message(self, src: int, dst: int, ctx: int, tag: int,
-                     payload: Payload) -> Request:
-        """Start a message; returns the sender-completion request."""
-        return Request(self.send_message_ev(src, dst, ctx, tag, payload))
-
     def send_message_ev(self, src: int, dst: int, ctx: int, tag: int,
                         payload: Payload) -> Event:
-        """Like :meth:`send_message` but returns the bare completion event
-        (internal hot path: skips the Request wrapper allocation)."""
+        """Start a message; returns the sender-completion event."""
         if not 0 <= dst < self.nprocs:
             raise MPIError(f"destination rank {dst} out of range")
         eng = self.engine
@@ -189,7 +183,7 @@ class World:
         on receiver matching, which is not known up-front.
 
         Waiting on all returned requests completes at the same virtual
-        time as issuing ``len(entries)`` :meth:`send_message` calls in
+        time as issuing ``len(entries)`` :meth:`send_message_ev` calls in
         the same order; callers must not depend on *individual* eager
         request completions (they share one event).  Intended for
         macro-coalesced exchange rounds, where per-round message sets
@@ -203,9 +197,6 @@ class World:
         i = 0
         coalesced = 0
         while i < n:
-            dst = entries[i][0]
-            if not 0 <= dst < nprocs:
-                raise MPIError(f"destination rank {dst} out of range")
             if entries[i][3].nbytes > self._eager_threshold:
                 dst, ctx, tag, payload = entries[i]
                 requests.append(
@@ -242,12 +233,9 @@ class World:
             perf_counters.messages_coalesced += coalesced
         return requests
 
-    def post_recv(self, dst: int, ctx: int, src: int, tag: int) -> Request:
-        """Post a receive on rank ``dst``; request value is (payload, status)."""
-        return Request(self.post_recv_ev(dst, ctx, src, tag))
-
     def post_recv_ev(self, dst: int, ctx: int, src: int, tag: int) -> Event:
-        """Like :meth:`post_recv` but returns the bare completion event."""
+        """Post a receive on rank ``dst``; the returned event fires with
+        ``(payload, message)``."""
         self._msg_seq += 1
         seq = self._msg_seq
         event = Event(self.engine, ("recv", seq, "at", dst, "from", src,
@@ -255,7 +243,7 @@ class World:
         mbox = self.procs[dst].mailbox
         msg = mbox.match_unexpected_key(ctx, src, tag)
         if msg is None:
-            mbox.add_posted(PostedRecv(ctx, src, tag, event, seq))
+            mbox.add_posted(PostedRecv(ctx, src, tag, event))
         elif not msg.rendezvous:
             # the event is fresh (no waiters yet), so firing it is a
             # plain value store
@@ -424,8 +412,8 @@ class Communicator:
               nbytes: Optional[int] = None, _ctx: Optional[int] = None) -> Request:
         payload = self._as_payload(obj, nbytes)
         ctx = self.desc.ctx if _ctx is None else _ctx
-        return self.world.send_message(self.proc.rank, self.world_rank(dest),
-                                       ctx, tag, payload)
+        return Request(self.world.send_message_ev(
+            self.proc.rank, self.world_rank(dest), ctx, tag, payload))
 
     def isend_batch(self, items: list[tuple[int, Any]],
                     tag: int = 0) -> list[Request]:
@@ -444,11 +432,12 @@ class Communicator:
         ]
         return self.world.send_batch(self.proc.rank, entries)
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
+    def irecv(self, source: int, tag: int = 0,
               _ctx: Optional[int] = None) -> Request:
+        """Post a receive; the request's value is ``(payload, message)``."""
         ctx = self.desc.ctx if _ctx is None else _ctx
-        src = source if source == ANY_SOURCE else self.world_rank(source)
-        return self.world.post_recv(self.proc.rank, ctx, src, tag)
+        return Request(self.world.post_recv_ev(
+            self.proc.rank, ctx, self.world_rank(source), tag))
 
     # -- blocking wrappers with accounting --------------------------------
     def send(self, obj: Any, dest: int, tag: int = 0,
@@ -459,31 +448,13 @@ class Communicator:
         yield req.event
         self.proc.breakdown.add(category, self.now - t0)
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
+    def recv(self, source: int, tag: int = 0,
              category: str = "exchange") -> Generator[Any, Any, Payload]:
         t0 = self.now
         req = self.irecv(source, tag)
-        payload, _status = yield req.event
+        payload, _msg = yield req.event
         self.proc.breakdown.add(category, self.now - t0)
         return payload
-
-    def recv_status(self, source: int = ANY_SOURCE, tag: int = ANY_TAG,
-                    category: str = "exchange"
-                    ) -> Generator[Any, Any, tuple[Payload, Status]]:
-        t0 = self.now
-        req = self.irecv(source, tag)
-        payload, status = yield req.event
-        self.proc.breakdown.add(category, self.now - t0)
-        status = Status(self.desc.rank_of.get(status.source, status.source),
-                        status.tag)
-        return payload, status
-
-    def wait(self, request: Request,
-             category: str = "exchange") -> Generator[Any, Any, Any]:
-        t0 = self.now
-        value = yield request.event
-        self.proc.breakdown.add(category, self.now - t0)
-        return value
 
     def waitall(self, requests: list[Request],
                 category: str = "exchange") -> Generator[Any, Any, list[Any]]:
@@ -505,7 +476,7 @@ class Communicator:
 
     def _coll_irecv(self, source: int, tag: int) -> Event:
         """Internal recv post on the collective context; the returned
-        event fires with ``(payload, status)``."""
+        event fires with ``(payload, message)``."""
         return self.world.post_recv_ev(
             self.proc.rank, self._coll_ctx_val, self.desc.members[source], tag)
 
@@ -593,9 +564,9 @@ class Communicator:
 
         ``macro_path`` is the coalesced closed-form replay of the
         detailed schedule; only the synchronizing collectives provide
-        one (a rank may leave bcast/reduce/gather/scatter/scan before
-        every rank has entered, which a site-based replay cannot model),
-        so under the ``macro`` fidelity the rest fall back to the
+        one.  ``gather`` and ``scatter`` have none (a rank may leave
+        before every rank has entered, which a site-based replay cannot
+        model), so under the ``macro`` fidelity they fall back to the
         detailed path — a kind-based, rank-symmetric decision.
         """
         self._op_state[0] += 1
@@ -632,41 +603,6 @@ class Communicator:
             category, a, lambda: detailed.barrier(self),
             macro_path=lambda: macro.barrier(self)))
 
-    def bcast(self, obj: Any, root: int = 0, nbytes: Optional[int] = None,
-              category: str = "sync") -> Generator[Any, Any, Any]:
-        params = self.world.network.params
-
-        def combine(vals: dict[int, Any]) -> list:
-            return [vals[root]] * self.size
-
-        def cost(vals: dict[int, Any]) -> float:
-            nb = nbytes if nbytes is not None else sizeof(vals[root])
-            return analytic.bcast_cost(params, self.size, nb)
-
-        return (yield from self._collective(
-            category,
-            lambda: self._analytic_site(obj if self.rank == root else None,
-                                        combine, cost, kind="bcast"),
-            lambda: detailed.bcast(self, obj, root, nbytes)))
-
-    def reduce(self, value: Any, op: ReduceOp = SUM, root: int = 0,
-               nbytes: Optional[int] = None,
-               category: str = "sync") -> Generator[Any, Any, Any]:
-        params = self.world.network.params
-
-        def combine(vals: dict[int, Any]) -> list:
-            acc = op.reduce_all([vals[r] for r in range(self.size)])
-            return [acc if r == root else None for r in range(self.size)]
-
-        def cost(vals: dict[int, Any]) -> float:
-            nb = nbytes if nbytes is not None else sizeof(vals[0])
-            return analytic.reduce_cost(params, self.size, nb)
-
-        return (yield from self._collective(
-            category,
-            lambda: self._analytic_site(value, combine, cost, kind="reduce"),
-            lambda: detailed.reduce(self, value, op, root, nbytes)))
-
     def allreduce(self, value: Any, op: ReduceOp = SUM,
                   nbytes: Optional[int] = None,
                   category: str = "sync") -> Generator[Any, Any, Any]:
@@ -689,6 +625,7 @@ class Communicator:
 
     def gather(self, value: Any, root: int = 0, nbytes: Optional[int] = None,
                category: str = "sync") -> Generator[Any, Any, Optional[list]]:
+        self.world_rank(root)  # an out-of-range root raises MPIError here
         params = self.world.network.params
 
         def combine(vals: dict[int, Any]) -> list:
@@ -768,6 +705,7 @@ class Communicator:
                 nbytes: Optional[int] = None,
                 category: str = "sync") -> Generator[Any, Any, Any]:
         """MPI_Scatter: rank i receives ``values[i]`` provided by the root."""
+        self.world_rank(root)  # an out-of-range root raises MPIError here
         params = self.world.network.params
         if self.rank == root and (values is None or len(values) != self.size):
             raise MPIError(f"scatter root needs {self.size} values")
@@ -786,77 +724,6 @@ class Communicator:
             lambda: self._analytic_site(values if self.rank == root else None,
                                         combine, cost, kind="scatter"),
             lambda: detailed.scatter(self, values, root, nbytes)))
-
-    def reduce_scatter_block(self, values: list, op: ReduceOp = SUM,
-                             nbytes: Optional[int] = None,
-                             category: str = "sync"
-                             ) -> Generator[Any, Any, Any]:
-        """MPI_Reduce_scatter_block: reduce per-slot, keep my slot."""
-        if len(values) != self.size:
-            raise MPIError(
-                f"reduce_scatter_block needs {self.size} values, "
-                f"got {len(values)}"
-            )
-        params = self.world.network.params
-
-        def combine(vals: dict[int, list]) -> list:
-            return [op.reduce_all([vals[src][dst] for src in range(self.size)])
-                    for dst in range(self.size)]
-
-        def cost(vals: dict[int, list]) -> float:
-            nb = nbytes if nbytes is not None else sizeof(vals[0][0])
-            return analytic.alltoall_cost(params, self.size, nb)
-
-        return (yield from self._collective(
-            category,
-            lambda: self._analytic_site(values, combine, cost,
-                                        kind="reduce_scatter_block"),
-            lambda: detailed.reduce_scatter_block(self, values, op, nbytes),
-            macro_path=lambda: macro.reduce_scatter_block(
-                self, values, op, nbytes)))
-
-    def exscan(self, value: Any, op: ReduceOp = SUM,
-               nbytes: Optional[int] = None,
-               category: str = "sync") -> Generator[Any, Any, Any]:
-        """MPI_Exscan: rank r gets the fold of ranks < r (None at rank 0)."""
-        params = self.world.network.params
-
-        def combine(vals: dict[int, Any]) -> list:
-            out: list[Any] = [None]
-            acc = None
-            for r in range(self.size - 1):
-                acc = vals[r] if acc is None else op(acc, vals[r])
-                out.append(acc)
-            return out
-
-        def cost(vals: dict[int, Any]) -> float:
-            nb = nbytes if nbytes is not None else sizeof(vals[0])
-            return analytic.scan_cost(params, self.size, nb)
-
-        return (yield from self._collective(
-            category,
-            lambda: self._analytic_site(value, combine, cost, kind="exscan"),
-            lambda: detailed.exscan(self, value, op, nbytes)))
-
-    def scan(self, value: Any, op: ReduceOp = SUM, nbytes: Optional[int] = None,
-             category: str = "sync") -> Generator[Any, Any, Any]:
-        params = self.world.network.params
-
-        def combine(vals: dict[int, Any]) -> list:
-            out, acc = [], None
-            for r in range(self.size):
-                acc = vals[r] if acc is None else op(acc, vals[r])
-                out.append(acc)
-            return out
-
-        def cost(vals: dict[int, Any]) -> float:
-            nb = nbytes if nbytes is not None else sizeof(vals[0])
-            return analytic.scan_cost(params, self.size, nb)
-
-        return (yield from self._collective(
-            category,
-            lambda: self._analytic_site(value, combine, cost, kind="scan"),
-            lambda: detailed.scan(self, value, op, nbytes)))
 
     # ------------------------------------------------------------------
     # communicator split

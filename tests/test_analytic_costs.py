@@ -12,14 +12,11 @@ P = NetworkParams(latency=5e-6, bandwidth=2e9, send_overhead=1e-6,
 
 ALL_COSTS = [
     ("barrier", lambda p, n: analytic.barrier_cost(P, p)),
-    ("bcast", lambda p, n: analytic.bcast_cost(P, p, n)),
-    ("reduce", lambda p, n: analytic.reduce_cost(P, p, n)),
     ("allreduce", lambda p, n: analytic.allreduce_cost(P, p, n)),
     ("gather", lambda p, n: analytic.gather_cost(P, p, n)),
     ("scatter", lambda p, n: analytic.scatter_cost(P, p, n)),
     ("allgather", lambda p, n: analytic.allgather_cost(P, p, n)),
     ("alltoall", lambda p, n: analytic.alltoall_cost(P, p, n)),
-    ("scan", lambda p, n: analytic.scan_cost(P, p, n)),
 ]
 
 

@@ -1,6 +1,8 @@
 """The gain-claim rule of ``scripts/bench_pairs.py`` on synthetic pairs."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,35 @@ def test_quartiles():
 def test_unpaired_samples_rejected():
     with pytest.raises(ValueError):
         bench_pairs.claim(PARENT, PARENT[:-1], "lower")
+
+
+def test_each_side_runs_on_its_own_fresh_bytecode_cache(monkeypatch,
+                                                         tmp_path):
+    calls = []
+    line = json.dumps({"correct": True, "failed": 0, "metrics": {
+        m: {"value": 1.0} for m in ("run_s", "setup_s", "peak_rss_mb")}})
+
+    def fake_run(cmd, cwd=None, env=None, **kw):
+        calls.append((list(cmd), Path(cwd), dict(env)))
+        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n",
+                                           stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    parent = (tmp_path / "parent").resolve()
+    change = (tmp_path / "change").resolve()
+    assert bench_pairs.main([str(parent), str(change), "--workload",
+                             "tileio-macro-512", "--pairs", "2"]) == 0
+
+    compiles = [i for i, c in enumerate(calls) if "compileall" in c[0]]
+    runs = [i for i, c in enumerate(calls) if "compileall" not in c[0]]
+    assert sorted(calls[i][1] for i in compiles) == [change, parent]
+    assert max(compiles) < min(runs)
+    # one unmeasured warm-up run a side, then two measured pairs
+    assert len(runs) == 2 + 2 * 2
+    prefix = {calls[i][1]: calls[i][2]["PYTHONPYCACHEPREFIX"]
+              for i in compiles}
+    assert prefix[parent] != prefix[change]
+    for _cmd, cwd, env in calls:
+        assert env["PYTHONPYCACHEPREFIX"] == prefix[cwd]
+        assert "PYTHONDONTWRITEBYTECODE" not in env

@@ -183,7 +183,7 @@ def test_macro_rounds_leave_no_cycles(monkeypatch):
         # rendezvous-sized blocks take the header/CTS/data path
         yield from comm.allgather(r, nbytes=200_000)
         yield from comm.alltoall(list(range(p)), nbytes_each=64)
-        yield from comm.reduce_scatter_block([r] * p, op=SUM, nbytes=8)
+        yield from comm.alltoall([r] * p, nbytes_each=8)
         total = yield from comm.allreduce(float(r), op=SUM, nbytes=8)
         return total
 

@@ -12,8 +12,8 @@ Coverage mirrors the acceptance grid: every coalescible collective kind
 x eager/rendezvous sizes x arrival skew x node shapes, concurrent and
 back-to-back rounds, subcommunicators, hybrid composition, per-handle
 ``with_backend`` overrides, NIC fault profiles, the declared fallbacks
-(size-1 comms, zero-latency networks), and the mismatched-collective
-ledger error.
+(``gather``'s detailed schedule, size-1 comms, zero-latency networks),
+and the mismatched-collective ledger error.
 """
 
 from __future__ import annotations
@@ -97,9 +97,10 @@ def grid_program(kind: str, p: int, nb, skew: float):
         elif kind == "allreduce":
             res = yield from comm.allreduce(float(r + 1), op=SUM,
                                             nbytes=nb)
-        elif kind == "rsb":
-            res = yield from comm.reduce_scatter_block(
-                [r * 100 + d for d in range(p)], op=SUM, nbytes=nb)
+        elif kind == "gather":
+            # a collective without a macro replay: it runs its
+            # detailed schedule, next to walker rounds
+            res = yield from comm.gather(("v", r), root=p - 1, nbytes=nb)
         else:
             raise AssertionError(kind)
         # trailing round: laggards of the round above are still walking
@@ -111,7 +112,7 @@ def grid_program(kind: str, p: int, nb, skew: float):
 
 
 KINDS = ["barrier", "allgather", "allgather_none", "alltoall",
-         "alltoall_np", "allreduce", "rsb"]
+         "alltoall_np", "allreduce", "gather"]
 
 
 @pytest.mark.parametrize("p,cpn", [(2, 1), (5, 2), (8, 4), (13, 4)])
@@ -135,10 +136,9 @@ def ragged_program(kind: str, p: int, skew: float):
             res = yield from comm.alltoall(
                 [np.full(1000 + 30000 * ((r + 2 * d) % 4), r, np.uint8)
                  for d in range(p)])
-        elif kind == "rsb":
-            res = yield from comm.reduce_scatter_block(
-                [np.full(100 + 2500 * d, r * 100 + d, np.int64)
-                 for d in range(p)], op=SUM)
+        elif kind == "gather":
+            res = yield from comm.gather(
+                np.full(100 + 2500 * r, r, np.int64), root=p // 2)
         else:
             raise AssertionError(kind)
         res2 = yield from comm.allreduce(r * 2 + 1, op=SUM, nbytes=8)
@@ -150,7 +150,7 @@ def ragged_program(kind: str, p: int, skew: float):
 @pytest.mark.parametrize("eager", [65536, 0])
 @pytest.mark.parametrize("p,cpn,skew", [(3, 1, 0.0), (7, 3, 3e-4),
                                         (8, 4, 0.0)])
-@pytest.mark.parametrize("kind", ["allgather", "alltoall", "rsb"])
+@pytest.mark.parametrize("kind", ["allgather", "alltoall", "gather"])
 def test_grid_ragged_sizes(kind, p, cpn, skew, eager):
     assert_macro_matches_detailed(p, cpn, ragged_program(kind, p, skew),
                                   eager_threshold=eager)
@@ -183,7 +183,7 @@ def test_round_memory_is_linear_in_ranks(kind):
 
 
 @pytest.mark.parametrize("kind", ["allgather", "alltoall", "allreduce",
-                                  "rsb"])
+                                  "gather"])
 @pytest.mark.parametrize("nb", [4096, 200000])
 def test_grid_rendezvous_sizes(kind, nb):
     # 200000 bytes is far past the eager threshold: the walker must

@@ -1,11 +1,10 @@
-"""scatter / reduce_scatter_block / exscan in both modes, plus edge cases."""
+"""scatter in both modes, plus edge cases."""
 
-import numpy as np
 import pytest
 
 from repro.cluster import MachineConfig
 from repro.errors import MPIError
-from repro.simmpi import MAX, SUM, World
+from repro.simmpi import World
 
 MODES = ("analytic", "detailed")
 SIZES = (1, 2, 3, 4, 7, 8)
@@ -44,89 +43,20 @@ def test_scatter_root_without_values_raises(mode):
         w.launch(program)
 
 
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("p", SIZES)
-def test_reduce_scatter_block_sums_slots(mode, p):
-    w = make_world(p, mode)
-    got = {}
-
-    def program(comm):
-        # rank src contributes (src+1) * 10^dst-ish; use simple sums
-        values = [comm.rank + dst for dst in range(p)]
-        out = yield from comm.reduce_scatter_block(values, op=SUM)
-        got[comm.rank] = out
-
-    w.launch(program)
-    # slot dst = sum over src of (src + dst)
-    base = p * (p - 1) // 2
-    assert got == {r: base + p * r for r in range(p)}
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_reduce_scatter_block_wrong_length(mode):
-    w = make_world(3, mode)
-
-    def program(comm):
-        yield from comm.reduce_scatter_block([1, 2])
-
-    with pytest.raises((MPIError, IndexError)):
-        w.launch(program)
-
-
-@pytest.mark.parametrize("mode", MODES)
-@pytest.mark.parametrize("p", SIZES)
-def test_exscan_prefix_excluding_self(mode, p):
-    w = make_world(p, mode)
-    got = {}
-
-    def program(comm):
-        out = yield from comm.exscan(comm.rank + 1, op=SUM)
-        got[comm.rank] = out
-
-    w.launch(program)
-    assert got[0] is None
-    for r in range(1, p):
-        assert got[r] == r * (r + 1) // 2
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_exscan_max(mode):
-    p = 5
-    w = make_world(p, mode)
-    got = {}
-
-    def program(comm):
-        out = yield from comm.exscan((comm.rank * 7) % 5, op=MAX)
-        got[comm.rank] = out
-
-    w.launch(program)
-    vals = [(r * 7) % 5 for r in range(p)]
-    for r in range(1, p):
-        assert got[r] == max(vals[:r])
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_new_collectives_interleave_with_old(mode):
-    """Mixed sequences keep their op ordering straight."""
+@pytest.mark.parametrize("mode", MODES + ("macro",))
+@pytest.mark.parametrize("root", ["size", -1])
+def test_scatter_root_out_of_range_raises(mode, root):
+    """Every fidelity rejects a root outside the group, before the op."""
     p = 4
+    root = p if root == "size" else root
     w = make_world(p, mode)
-    got = {}
 
     def program(comm):
-        a = yield from comm.scatter(list(range(p)) if comm.rank == 0 else None)
-        b = yield from comm.allreduce(a, op=SUM)
-        c = yield from comm.exscan(1, op=SUM)
-        d = yield from comm.reduce_scatter_block([b] * p, op=SUM)
-        got[comm.rank] = (a, b, c, d)
+        yield from comm.scatter(list(range(p)), root=root)
 
-    w.launch(program)
-    total = sum(range(p))
-    for r in range(p):
-        a, b, c, d = got[r]
-        assert a == r
-        assert b == total
-        assert c == (None if r == 0 else r)
-        assert d == p * total
+    with pytest.raises(MPIError, match=f"rank {root} out of range for "
+                       f"communicator of size {p}"):
+        w.launch(program)
 
 
 @pytest.mark.parametrize("p", SIZES)

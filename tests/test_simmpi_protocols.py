@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from repro.cluster import MachineConfig, NetworkParams
 from repro.sim import Engine, Event
 from repro.simmpi import Payload, World
-from repro.simmpi.p2p import (ANY_SOURCE, ANY_TAG, Mailbox, Message,
-                              PostedRecv, RTS_BYTES)
+from repro.simmpi.p2p import Mailbox, Message, PostedRecv, RTS_BYTES
 
 
 def make_world(threshold, nprocs=4):
@@ -94,26 +93,16 @@ class TestMailbox:
     def msg(self, ctx=0, src=1, tag=5):
         return Message(ctx, src, 0, tag, Payload.model(4), False, None, 1)
 
-    def pr(self, ctx=0, src=1, tag=5, seq=1):
-        from repro.sim import Engine, Event
-
-        return PostedRecv(ctx, src, tag, Event(Engine(), "e"), seq)
+    def pr(self, ctx=0, src=1, tag=5):
+        return PostedRecv(ctx, src, tag, Event(Engine(), "e"))
 
     def test_match_posted_in_post_order(self):
         mb = Mailbox()
-        a, b = self.pr(tag=-1, seq=1), self.pr(tag=5, seq=2)  # ANY_TAG first
+        a, b = self.pr(tag=5), self.pr(tag=5)
         mb.add_posted(a)
         mb.add_posted(b)
         matched = mb.match_posted(self.msg(tag=5))
         assert matched is a  # first posted wins
-
-    def test_match_posted_exact_before_later_wildcard(self):
-        mb = Mailbox()
-        a, b = self.pr(tag=5, seq=1), self.pr(tag=-1, seq=2)  # exact first
-        mb.add_posted(a)
-        mb.add_posted(b)
-        matched = mb.match_posted(self.msg(tag=5))
-        assert matched is a
 
     def test_context_isolation(self):
         mb = Mailbox()
@@ -125,15 +114,7 @@ class TestMailbox:
         m1, m2 = self.msg(tag=7), self.msg(tag=7)
         mb.add_unexpected(m1)
         mb.add_unexpected(m2)
-        got = mb.match_unexpected(self.pr(tag=7))
-        assert got is m1
-
-    def test_unexpected_wildcard_crosses_buckets_in_arrival_order(self):
-        mb = Mailbox()
-        m1, m2 = self.msg(src=2, tag=9), self.msg(src=1, tag=7)
-        mb.add_unexpected(m1)
-        mb.add_unexpected(m2)
-        got = mb.match_unexpected(self.pr(src=-1, tag=-1))
+        got = mb.match_unexpected_key(0, 1, 7)
         assert got is m1
 
     def test_describe(self):
@@ -149,45 +130,31 @@ class ReferenceMailbox:
         self.posted: list[PostedRecv] = []
         self.unexpected: list[Message] = []
         self.exact_matches = 0
-        self.wildcard_matches = 0
 
     def match_posted(self, msg):
         for i, pr in enumerate(self.posted):
-            if pr.matches(msg):
+            if (pr.ctx, pr.src, pr.tag) == (msg.ctx, msg.src, msg.tag):
                 del self.posted[i]
-                if pr.src == ANY_SOURCE or pr.tag == ANY_TAG:
-                    self.wildcard_matches += 1
-                else:
-                    self.exact_matches += 1
+                self.exact_matches += 1
                 return pr
         return None
 
     def match_unexpected_key(self, ctx, src, tag):
         for i, msg in enumerate(self.unexpected):
-            if (msg.ctx == ctx and src in (ANY_SOURCE, msg.src)
-                    and tag in (ANY_TAG, msg.tag)):
+            if (msg.ctx, msg.src, msg.tag) == (ctx, src, tag):
                 del self.unexpected[i]
-                if src == ANY_SOURCE or tag == ANY_TAG:
-                    self.wildcard_matches += 1
-                else:
-                    self.exact_matches += 1
+                self.exact_matches += 1
                 return msg
         return None
 
 
-# 2 contexts x 3 sources x 2 tags; receives may also use the wildcards
+# 2 contexts x 3 sources x 2 tags
 _ctx = st.integers(0, 1)
 _src = st.integers(0, 2)
 _tag = st.integers(0, 1)
-mailbox_ops = st.lists(st.one_of(
-    st.tuples(st.just("post"), _ctx, st.one_of(_src, st.just(ANY_SOURCE)),
-              st.one_of(_tag, st.just(ANY_TAG))),
-    st.tuples(st.just("arrive"), _ctx, _src, _tag),
-    st.tuples(st.just("match_posted"), _ctx, _src, _tag),
-    st.tuples(st.just("match_unexpected"), _ctx,
-              st.one_of(_src, st.just(ANY_SOURCE)),
-              st.one_of(_tag, st.just(ANY_TAG))),
-), max_size=80)
+mailbox_ops = st.lists(st.tuples(
+    st.sampled_from(["post", "arrive", "match_posted", "match_unexpected"]),
+    _ctx, _src, _tag), max_size=80)
 
 
 @settings(max_examples=200)
@@ -198,7 +165,7 @@ def test_mailbox_matches_linear_scan_reference(ops):
     mb, ref = Mailbox(), ReferenceMailbox()
     for seq, (op, ctx, src, tag) in enumerate(ops, start=1):
         if op == "post":
-            pr = PostedRecv(ctx, src, tag, Event(engine, "e"), seq)
+            pr = PostedRecv(ctx, src, tag, Event(engine, "e"))
             mb.add_posted(pr)
             ref.posted.append(pr)
         elif op == "arrive":
@@ -216,7 +183,6 @@ def test_mailbox_matches_linear_scan_reference(ops):
         assert mb.n_posted == len(ref.posted)
         assert mb.n_unexpected == len(ref.unexpected)
         assert mb.exact_matches == ref.exact_matches
-        assert mb.wildcard_matches == ref.wildcard_matches
 
 
 class TestMailboxSlots:
@@ -226,8 +192,7 @@ class TestMailboxSlots:
     def test_posted_slot_grows_to_deque_and_empties(self):
         engine = Engine()
         mb = Mailbox()
-        prs = [PostedRecv(0, 1, 5, Event(engine, "e"), seq)
-               for seq in (1, 2, 3)]
+        prs = [PostedRecv(0, 1, 5, Event(engine, "e")) for _ in range(3)]
         mb.add_posted(prs[0])
         assert mb.posted_exact[(0, 1, 5)] is prs[0]
         mb.add_posted(prs[1])
@@ -248,7 +213,7 @@ class TestMailboxSlots:
         assert isinstance(mb.unexpected_by_key[(0, 1, 5)], deque)
         mb.add_unexpected(msgs[2])
         got = [mb.match_unexpected_key(0, 1, 5),
-               mb.match_unexpected_key(0, ANY_SOURCE, ANY_TAG),
+               mb.match_unexpected_key(0, 1, 5),
                mb.match_unexpected_key(0, 1, 5)]
         assert got == msgs
         assert mb.unexpected_by_key == {}
@@ -275,7 +240,7 @@ class TestMailboxMemory:
     def test_posted_receive_on_fresh_key(self):
         engine = Engine()
         mb = Mailbox()
-        prs = [PostedRecv(0, 1, 1000 + i, Event(engine, "e"), i)
+        prs = [PostedRecv(0, 1, 1000 + i, Event(engine, "e"))
                for i in range(self.N)]
         per = _bytes_per_add(mb.add_posted, prs)
         assert per < 200, f"{per:.0f} B per posted receive"
@@ -298,15 +263,20 @@ class TestNicAccounting:
                                            eager_threshold=1 << 30))
         arrive = {}
 
+        def watch(comm, source, req):
+            yield req.event
+            arrive[source] = comm.now
+
         def program(comm):
             if comm.rank == 0:
-                for i in range(4):
-                    payload = yield from comm.recv()
-                    arrive[i] = comm.now
+                # one receive per sender, each timed by its own waiter
+                for s in range(1, 5):
+                    comm.engine.spawn(watch(comm, s, comm.irecv(source=s)))
             else:
                 yield from comm.send(Payload.model(1_000_000), dest=0)
 
         w.launch(program)
+        assert sorted(arrive) == [1, 2, 3, 4]
         times = sorted(arrive.values())
         # 1 MB at 1 MB/s each, serialized at the receiver: ~1s apart
         for i in range(1, 4):
