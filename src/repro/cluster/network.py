@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from repro.cluster.machine import Machine
 from repro.errors import ConfigError
 from repro.sim.engine import Engine
@@ -126,50 +124,3 @@ class NetworkModel:
         tx_start, tx_done = tx.reserve_span(now, nbytes)
         arrival = rx.reserve_span(tx_start + p.latency, nbytes)[1]
         return tx_done, arrival
-
-    def transfer_batch(self, src_rank: int, dst_ranks, sizes
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """Reserve resources for N messages from one sender, in issue order.
-
-        Batched counterpart of :meth:`transfer` for a round whose message
-        set is known up-front: returns ``(sender_frees, arrivals)``
-        float64 arrays, bit-identical to N scalar :meth:`transfer` calls
-        in the same order.  The sender's TX NIC serializes the whole
-        batch as one :meth:`~repro.sim.resources.FIFOResource.reserve_batch`
-        chain; receiver RX NICs are reserved per destination node in
-        issue order (distinct resources, so regrouping cannot reorder any
-        FIFO chain).  Intra-node messages stay pure memcpy formulas.
-        """
-        node_of = self._node_of
-        src_node = node_of[src_rank]
-        dst_nodes = np.array([node_of[d] for d in dst_ranks], dtype=np.int64)
-        n = int(dst_nodes.size)
-        sizes_arr = np.asarray(sizes, dtype=np.int64)
-        self.messages_sent += n
-        self.bytes_sent += int(sizes_arr.sum())
-        now = self.engine.now
-        p = self.params
-        frees = np.empty(n, np.float64)
-        arrivals = np.empty(n, np.float64)
-        local = dst_nodes == src_node
-        if local.any():
-            done = now + p.send_overhead + sizes_arr[local] / p.memcpy_bandwidth
-            frees[local] = done
-            arrivals[local] = done
-        if not local.all():
-            idx = np.flatnonzero(~local)
-            rsizes = sizes_arr[idx]
-            self.cross_node_messages += int(idx.size)
-            self.cross_node_bytes += int(rsizes.sum())
-            tx = self.tx[src_node]
-            tx_starts, tx_dones = tx.reserve_batch(
-                np.full(idx.size, now), rsizes)
-            first_bytes = tx_starts + p.latency
-            frees[idx] = tx_dones
-            rnodes = dst_nodes[idx]
-            for dn in np.unique(rnodes):
-                sel = np.flatnonzero(rnodes == dn)
-                _, arr = self.rx[int(dn)].reserve_batch(
-                    first_bytes[sel], rsizes[sel])
-                arrivals[idx[sel]] = arr
-        return frees, arrivals

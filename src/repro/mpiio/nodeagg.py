@@ -197,9 +197,7 @@ def nodeagg_read(env: IOEnv, segs: Segments, state: dict
     forwarded = sum(int(s[1].sum()) for m, s in requests if m != comm.rank)
     if len(members) > 1:
         yield from _charge_memcpy(env, forwarded)
-    use_batch = comm.backend.fidelity("exchange", comm=comm) == "macro"
     reply_reqs = []
-    reply_batch: list = []
     my_piece: Optional[np.ndarray] = None
     for src, sub_segs in requests:
         piece = (extract_data(union, union_prefix, union_data, sub_segs)
@@ -208,12 +206,7 @@ def nodeagg_read(env: IOEnv, segs: Segments, state: dict
             my_piece = piece
             continue
         payload = Payload(int(sub_segs[1].sum()), piece)
-        if use_batch:
-            reply_batch.append((src, payload))
-        else:
-            reply_reqs.append(comm.isend(payload, dest=src, tag=NA_REP_TAG))
-    if reply_batch:
-        reply_reqs = comm.isend_batch(reply_batch, tag=NA_REP_TAG)
+        reply_reqs.append(comm.isend(payload, dest=src, tag=NA_REP_TAG))
     if reply_reqs:
         yield from comm.waitall(reply_reqs, category="exchange")
     if my_piece is None and verified:

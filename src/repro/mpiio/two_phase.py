@@ -296,7 +296,6 @@ def collective_write(env: IOEnv, segs: Segments,
         raise MPIIOError("verified-mode collective write requires data")
 
     memcpy_bw = comm.world.network.params.memcpy_bandwidth
-    use_batch = comm.backend.fidelity("exchange", comm=comm) == "macro"
     plan = plan_rounds(segs, starts, ends, cb)
     if env.validator is not None:
         env.validator.check_exchange_plan(segs, plan, ntimes)
@@ -308,7 +307,6 @@ def collective_write(env: IOEnv, segs: Segments,
         # dispatch my pieces (local piece short-circuits the network);
         # the aggregator side empties ``pieces`` once it has merged them
         reqs = []
-        batch: list = []
         pieces: list = []
         for a, sub in send_lists.items():
             piece_data = None if model else extract_data(segs, prefix, data, sub)
@@ -319,13 +317,7 @@ def collective_write(env: IOEnv, segs: Segments,
                 pieces.append((sub, piece_data))
                 continue
             payload = Payload(nbytes, (sub[0], sub[1], piece_data))
-            if use_batch:
-                batch.append((aggs[a], payload))
-            else:
-                reqs.append(comm.isend(payload, dest=aggs[a],
-                                       tag=TP_TAG + rnd))
-        if batch:
-            reqs = comm.isend_batch(batch, tag=TP_TAG + rnd)
+            reqs.append(comm.isend(payload, dest=aggs[a], tag=TP_TAG + rnd))
         if my_idx >= 0:
             yield from _aggregate_and_write(env, all_counts, pieces,
                                             rnd, memcpy_bw)
@@ -437,7 +429,6 @@ def collective_read(env: IOEnv, segs: Segments,
     out = np.empty(total, dtype=np.uint8) if verified else None
 
     memcpy_bw = comm.world.network.params.memcpy_bandwidth
-    use_batch = comm.backend.fidelity("exchange", comm=comm) == "macro"
     plan = plan_rounds(segs, starts, ends, cb)
     if env.validator is not None:
         env.validator.check_exchange_plan(segs, plan, ntimes)
@@ -450,7 +441,6 @@ def collective_read(env: IOEnv, segs: Segments,
         sent_lists = (want_lists if translate is None
                       else {a: translate(sub) for a, sub in want_lists.items()})
         req_reqs = []
-        req_batch: list = []
         local_want = None
         for a, sub in sent_lists.items():
             if aggs[a] == comm.rank:
@@ -458,13 +448,8 @@ def collective_read(env: IOEnv, segs: Segments,
                 continue
             nbytes = SEG_HEADER_BYTES * sub[0].size
             payload = Payload(nbytes, (sub[0], sub[1]))
-            if use_batch:
-                req_batch.append((aggs[a], payload))
-            else:
-                req_reqs.append(comm.isend(payload, dest=aggs[a],
-                                           tag=TP_TAG + rnd))
-        if req_batch:
-            req_reqs = comm.isend_batch(req_batch, tag=TP_TAG + rnd)
+            req_reqs.append(comm.isend(payload, dest=aggs[a],
+                                       tag=TP_TAG + rnd))
         local_reply = None
         reply_reqs: list = []
         if my_idx >= 0:
@@ -527,9 +512,7 @@ def _read_and_reply(env: IOEnv, all_counts: np.ndarray, local_want,
     verified = union_data is not None
     # replies go out as isends: a blocking (rendezvous) send here could
     # deadlock against a requester still waiting on another aggregator
-    use_batch = comm.backend.fidelity("exchange", comm=comm) == "macro"
     reply_reqs = []
-    reply_batch: list = []
     for src, sub in requests:
         piece = (extract_data(union, union_prefix, union_data, sub)
                  if verified else None)
@@ -538,11 +521,5 @@ def _read_and_reply(env: IOEnv, all_counts: np.ndarray, local_want,
             continue
         reply_bytes = int(sub[1].sum())
         payload = Payload(reply_bytes, piece)
-        if use_batch:
-            reply_batch.append((src, payload))
-        else:
-            reply_reqs.append(comm.isend(payload, dest=src,
-                                         tag=REPLY_TAG + rnd))
-    if reply_batch:
-        reply_reqs = comm.isend_batch(reply_batch, tag=REPLY_TAG + rnd)
+        reply_reqs.append(comm.isend(payload, dest=src, tag=REPLY_TAG + rnd))
     return local_reply, reply_reqs

@@ -18,9 +18,9 @@ communicator participate):
 
 ParColl needs no macro-coalescing code of its own: subgroup
 communicators inherit the parent's :class:`CollectiveBackend`, so under
-the ``macro`` exchange fidelity the per-subgroup ext2ph shuffle rides
-the same batched transfer schedules (``Communicator.isend_batch``) and
-macro collective rounds as the flat protocol.
+``macro`` the per-subgroup collectives replay as the same macro rounds
+as the flat protocol's.  The ext2ph shuffle is point-to-point traffic,
+simulated per message under every backend.
 """
 
 from __future__ import annotations

@@ -228,39 +228,6 @@ class Task:
         return f"{self.name}: {self.describe_state()}"
 
 
-class _ScheduledBatch:
-    """One rolling scheduler entry draining N timestamped completions.
-
-    Holds ``entries`` — ``(t, fn, arg)`` sorted by non-decreasing ``t`` —
-    and keeps exactly one entry in the engine's scheduler at a time:
-    each :meth:`advance` fires every completion due at the current
-    virtual time, then re-schedules itself at the next distinct
-    timestamp.  A macro-coalesced round with thousands of message
-    completions therefore costs O(distinct timestamps) heap traffic
-    instead of O(messages).
-    """
-
-    __slots__ = ("engine", "entries", "i")
-
-    def __init__(self, engine: "Engine", entries):
-        self.engine = engine
-        self.entries = entries
-        self.i = 0
-
-    def advance(self, _arg: Any = None) -> None:
-        entries = self.entries
-        i = self.i
-        n = len(entries)
-        now = self.engine.now
-        while i < n and entries[i][0] <= now:
-            t, fn, arg = entries[i]
-            fn(arg)
-            i += 1
-        self.i = i
-        if i < n:
-            self.engine._sched(entries[i][0], _K_CALL1, self.advance, None)
-
-
 class Engine:
     """A deterministic discrete-event scheduler with a virtual clock."""
 
@@ -362,19 +329,6 @@ class Engine:
         self.heap_bypasses += 1
         self._ready.append((_K_STEP, task, None))
         return task
-
-    def schedule_batch(self, entries: list[tuple[float, Callable[[Any], None], Any]]) -> None:
-        """Schedule N ``(t, fn, arg)`` completions through one rolling entry.
-
-        ``entries`` must be sorted by non-decreasing ``t`` with every
-        ``t >= now``; each ``fn(arg)`` runs at virtual time ``t``, and
-        completions sharing a timestamp run in list order.  Entries due
-        at the *current* time fire immediately (the caller is already
-        executing at ``now``), so a fully-synchronous batch never touches
-        the heap at all.
-        """
-        if entries:
-            _ScheduledBatch(self, entries).advance()
 
     # ------------------------------------------------------------------
     # trampoline

@@ -19,8 +19,6 @@ import math
 from bisect import bisect_right
 from typing import Any, Generator, Iterable, Optional
 
-import numpy as np
-
 from repro.errors import SimulationError
 from repro.sim.effects import Sleep
 from repro.sim.engine import Engine
@@ -139,20 +137,17 @@ class FIFOResource:
         ``extra`` adds request-specific time (e.g. a lock-revocation
         penalty) that occupies the resource.
         """
-        return self.reserve_at(self.engine.now, nbytes, extra=extra)
+        return self.reserve_span(self.engine.now, nbytes, extra=extra)[1]
 
-    def reserve_at(self, t: float, nbytes: int, extra: float = 0.0) -> float:
-        """Reserve a slot for a request that *arrives* at time ``t`` >= now.
+    def reserve_span(self, t: float, nbytes: int, extra: float = 0.0
+                     ) -> tuple[float, float]:
+        """Reserve a slot for a request that *arrives* at time ``t`` >= now;
+        returns ``(service_start, done)``.
 
         Used by the network model: a message cannot occupy the receiving
         NIC before it has left the sender, but the reservation must be
         made now so later arrivals queue behind it deterministically.
-        """
-        return self.reserve_span(t, nbytes, extra=extra)[1]
-
-    def reserve_span(self, t: float, nbytes: int, extra: float = 0.0
-                     ) -> tuple[float, float]:
-        """Like :meth:`reserve_at` but returns ``(service_start, done)``.
+        :meth:`NetworkModel.transfer` inlines the nominal-speed branch.
 
         Without a profile this computes exactly the same arithmetic as it
         always has (``done = start + stime``; the reported start is
@@ -174,76 +169,6 @@ class FIFOResource:
             span_start = start
         self.busy_until = done
         return span_start, done
-
-    def reserve_batch(self, ts, sizes, extra: float = 0.0
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`reserve_span` over a whole request batch.
-
-        ``ts`` are the arrival times and ``sizes`` the byte counts of N
-        requests *in reservation order* — the order a per-message caller
-        would have issued the ``reserve_span`` calls.  Returns
-        ``(span_starts, dones)`` as float64 arrays and leaves ``busy_until``
-        where N scalar calls would.
-
-        The closed form exploits the FIFO structure: completion times
-        form *dense chains* — runs where each request starts exactly when
-        its predecessor finishes, so ``done`` is a prefix sum of service
-        times off the chain base.  A chain breaks only where a request
-        arrives after the resource drained (``t_k > done_{k-1}``).  Each
-        chain is one ``np.cumsum`` with the base prepended, which numpy
-        evaluates as the same left-fold of IEEE additions the scalar loop
-        performs, so results are bit-identical — the determinism gate
-        depends on this, and a Hypothesis property test enforces it.
-
-        Piecewise speed profiles (fault windows) break the prefix-sum
-        form, so the profiled path integrates per request — still one
-        tight loop with no engine round-trips, and bit-identical to the
-        scalar path by construction.
-        """
-        ts = np.asarray(ts, dtype=np.float64)
-        n = int(ts.size)
-        if n == 0:
-            return np.empty(0, np.float64), np.empty(0, np.float64)
-        sizes_f = np.asarray(sizes, dtype=np.float64)
-        if sizes_f.min() < 0:
-            raise SimulationError(
-                f"resource {self.name!r}: negative size in batch")
-        stimes = self.overhead + sizes_f / self.rate + extra
-        dones = np.empty(n, np.float64)
-        if self.profile is None:
-            busy = self.busy_until
-            j = 0
-            while j < n:
-                t = ts[j]
-                base = t if t > busy else busy
-                chain = np.cumsum(np.concatenate(([base], stimes[j:])))[1:]
-                if j + 1 < n:
-                    gaps = ts[j + 1:] > chain[:-1]
-                    k = int(np.argmax(gaps)) if gaps.any() else -1
-                else:
-                    k = -1
-                if k < 0:
-                    dones[j:] = chain
-                    busy = chain[-1]
-                    break
-                stop = j + 1 + k
-                dones[j:stop] = chain[:stop - j]
-                busy = chain[stop - j - 1]
-                j = stop
-            span_starts = dones - stimes
-        else:
-            span_starts = np.empty(n, np.float64)
-            busy = self.busy_until
-            finish = self.profile.finish_time
-            for i in range(n):
-                t = ts[i]
-                start = t if t > busy else busy
-                done = finish(start, stimes[i])
-                span_starts[i] = start
-                dones[i] = done
-                busy = done
-        self.busy_until = float(busy)
-        return span_starts, dones
 
     def service(self, nbytes: int, extra: float = 0.0) -> Generator[Any, Any, float]:
         """Blocking helper: wait until this request has been served."""

@@ -4,24 +4,28 @@ Provides communicators with MPI matching semantics (source/tag/context,
 FIFO per peer), eager and rendezvous point-to-point protocols timed
 through the :mod:`repro.cluster` network model, and the collective
 operations collective I/O depends on (barrier, allreduce, gather,
-allgather(v), alltoall(v), split), plus scatter, behind
-collective-fidelity backends (:mod:`repro.simmpi.backends`):
+allgather(v), alltoall(v), split) behind collective-fidelity backends
+(:mod:`repro.simmpi.backends`):
 
 * ``detailed`` — collectives run their real message schedules
-  (dissemination barrier, recursive doubling, binomial gather and
-  scatter, ring, pairwise exchange) as simulated point-to-point traffic;
+  (dissemination barrier, recursive doubling, binomial gather, ring,
+  pairwise exchange) as simulated point-to-point traffic;
 * ``analytic`` — a collective is a synchronization site whose exit time is
   ``max(entry times) + LogP-style cost``; used for large-scale sweeps and
   validated against ``detailed`` in tests and an ablation benchmark;
-* ``macro`` — the synchronizing collectives (all but ``gather`` and
-  ``scatter``) replay their detailed message schedule in closed form:
-  the same virtual time, far fewer events;
+* ``macro`` — the synchronizing collectives (all but ``gather``) replay
+  their detailed message schedule in closed form: the same virtual time,
+  far fewer events;
 * ``hybrid`` — per-category fidelity selection
-  (``hybrid:sync=analytic,exchange=detailed,io=detailed``), so the
-  collective wall can be modeled analytically while everything else keeps
-  full message fidelity;
+  (``hybrid:sync=analytic,default=detailed``).  The category is the one
+  a collective is charged to; every collective the I/O protocols call is
+  charged to ``sync``, so there the default table runs exactly as
+  ``analytic``;
 * ``scoped`` — one fidelity for world-communicator collectives, another
   for subgroup ones (``scoped:world=analytic,default=macro``).
+
+Point-to-point traffic (the two-phase data exchange included) is
+simulated per message under every backend.
 
 Rank programs are generators; every blocking call is ``yield from``.
 """

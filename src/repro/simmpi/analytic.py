@@ -47,11 +47,6 @@ def gather_cost(params: NetworkParams, p: int, nbytes_each: int) -> float:
     return log2ceil(p) * (o + lat) + (p - 1) * nbytes_each * g
 
 
-def scatter_cost(params: NetworkParams, p: int, nbytes_each: int) -> float:
-    """Binomial scatter: the gather tree run in reverse."""
-    return gather_cost(params, p, nbytes_each)
-
-
 def allgather_cost(params: NetworkParams, p: int, nbytes_each: int) -> float:
     """Recursive-doubling allgather: log p startups, (p-1) blocks of data."""
     o, lat, g = _olg(params)

@@ -7,10 +7,11 @@ collective), the ``detailed`` message schedule
 (:mod:`repro.simmpi.collectives_detailed` — every tree/ring/pairwise
 message is simulated), or the ``macro`` closed-form replay of that
 schedule (:mod:`repro.simmpi.collectives_macro`).  A backend picks the
-fidelity from the collective's time-accounting category (the same
-'sync' / 'exchange' / 'io' labels the time breakdown uses) and, for
-``scoped``, from whether it runs on the world communicator.
-:func:`resolve_backend` builds one from a spec string:
+fidelity from the time-accounting category the call site charges the
+collective to and, for ``scoped``, from whether it runs on the world
+communicator.  Every collective the I/O protocols call is charged to
+'sync'.  Point-to-point traffic is simulated per message whatever the
+backend.  :func:`resolve_backend` builds one from a spec string:
 
 ``"analytic"``
     every collective uses the LogP site model;
@@ -22,8 +23,9 @@ fidelity from the collective's time-accounting category (the same
     rest run detailed;
 ``"hybrid"``
     per-category selection with the default table
-    ``sync=analytic``, everything else ``detailed``;
-``"hybrid:sync=analytic,exchange=detailed,io=detailed"``
+    ``sync=analytic``, everything else ``detailed`` — on the I/O
+    protocols' collectives, all 'sync', exactly ``analytic``;
+``"hybrid:sync=macro,default=detailed"``
     explicit per-category table; a ``default=<fidelity>`` entry sets the
     fidelity of categories not listed (``detailed`` if omitted);
 ``"scoped:world=analytic,default=macro"``

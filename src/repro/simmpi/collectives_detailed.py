@@ -1,8 +1,8 @@
 """Detailed collective algorithms executed as simulated message traffic.
 
 These mirror the classic MPICH implementations: dissemination barrier,
-recursive-doubling allreduce, binomial-tree gather and scatter, ring
-allgather, and pairwise-exchange alltoall.  All messages travel
+recursive-doubling allreduce, binomial-tree gather, ring allgather, and
+pairwise-exchange alltoall.  All messages travel
 on the communicator's *collective context* so they can never match user
 point-to-point traffic, and they deliberately bypass the per-category time
 accounting — the caller charges the whole collective to its category.
@@ -162,40 +162,3 @@ def alltoall(comm: "Communicator", values: list,
         # keep the result shape consistent with the analytic fast path
         return np.asarray(result, dtype=values.dtype)
     return result
-
-
-def scatter(comm: "Communicator", values: Optional[list], root: int,
-            nbytes: Optional[int]) -> Generator[Any, Any, Any]:
-    """Binomial scatter: the root pushes shrinking slices down the tree.
-
-    A node at relative rank ``rel`` (lowest set bit ``b``) receives the
-    slice ``[rel, min(rel + b, p))`` from ``rel - b`` and forwards the
-    upper halves at masks ``b/2 .. 1``.
-    """
-    p = comm.size
-    tag = comm._op_seq * 64 + 7
-    relative = (comm.rank - root) % p
-    if relative == 0:
-        carry = {r: values[(r + root) % p] for r in range(p)}
-        b = 1
-        while b < p:
-            b <<= 1
-    else:
-        b = relative & (-relative)
-        src = ((relative - b) + root) % p
-        payload = (yield comm._coll_irecv(src, tag))[0]
-        carry = payload.data
-    reqs = []
-    mask = b >> 1
-    while mask:
-        dst_rel = relative + mask
-        if dst_rel < p:
-            slice_ = {r: v for r, v in carry.items() if r >= dst_rel}
-            carry = {r: v for r, v in carry.items() if r < dst_rel}
-            nb = None if nbytes is None else nbytes * max(1, len(slice_))
-            reqs.append(comm._coll_isend(slice_, (dst_rel + root) % p, tag,
-                                         nbytes=nb))
-        mask >>= 1
-    for req in reqs:
-        yield req
-    return carry[relative]

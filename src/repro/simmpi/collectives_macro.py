@@ -48,10 +48,9 @@ The walk reproduces the engine's execution *bit-identically*:
   would have run.  At uncontested timestamps no other actor can observe
   the ordering and the walk advances inline at full speed.
 
-``gather`` and ``scatter`` are the detailed fallbacks: a rank can leave
-either before every rank has entered, so a site-based replay would be
-unsound, and under the ``macro`` backend they run the detailed message
-schedule (see
+``gather`` is the detailed fallback: a rank can leave it before every
+rank has entered, so a site-based replay would be unsound, and under
+the ``macro`` backend it runs the detailed message schedule (see
 :meth:`Communicator._collective`).  The walk itself falls back when
 message timestamps are not strictly ordered after their causes
 (``send_overhead == 0`` or ``latency == 0`` make same-time scheduling

@@ -2,10 +2,15 @@
 
 Matching follows MPI rules for fully specified receives: a receive
 matches on ``(context, source, tag)``, posted receives match in post
-order, unexpected messages in arrival order, and messages between one
-(sender, receiver, context) pair do not overtake (guaranteed here by FIFO
-NIC resources plus sequence numbers).  No I/O protocol posts a wildcard
-receive, so there is no ``ANY_SOURCE`` / ``ANY_TAG``.
+order, unexpected messages in arrival order.  Messages that cross the
+network between one (sender, receiver, context) pair do not overtake:
+the sender's TX and the receiver's RX NIC are FIFO resources, so
+arrivals keep issue order; deliveries due at one virtual time run in
+the engine's ``(time, seq)`` order; and each mailbox key queues its
+posted receives and unexpected messages FIFO.  On-node messages are
+timed as independent memory copies, so a shorter one can overtake a
+longer one sent before it.  No I/O protocol posts a wildcard receive,
+so there is no ``ANY_SOURCE`` / ``ANY_TAG``.
 
 Protocols:
 
@@ -34,11 +39,11 @@ class Message:
     """An in-flight message (world-rank addressed)."""
 
     __slots__ = ("ctx", "src", "dst", "tag", "payload", "rendezvous",
-                 "send_event", "seq")
+                 "send_event")
 
     def __init__(self, ctx: int, src: int, dst: int, tag: int,
                  payload: Payload, rendezvous: bool,
-                 send_event: Optional[Event], seq: int):
+                 send_event: Optional[Event]):
         self.ctx = ctx
         self.src = src
         self.dst = dst
@@ -46,7 +51,6 @@ class Message:
         self.payload = payload
         self.rendezvous = rendezvous
         self.send_event = send_event
-        self.seq = seq
 
 
 class PostedRecv:

@@ -17,9 +17,8 @@ import numpy as np
 from repro.cluster.machine import Machine, MachineConfig
 from repro.cluster.network import NetworkModel, NetworkParams
 from repro.errors import MPIError, ParCollError, TaskFailedError
-from repro.perf import perf_counters
 from repro.sim.effects import Sleep, WaitEvent
-from repro.sim.engine import _K_CALL1, _K_FIRE, Engine, Event
+from repro.sim.engine import _K_CALL1, Engine, Event
 from repro.simmpi import analytic, collectives_detailed as detailed
 from repro.simmpi import collectives_macro as macro
 from repro.simmpi.backends import CollectiveBackend, resolve_backend
@@ -146,7 +145,7 @@ class World:
         nbytes = payload.nbytes
         if nbytes <= self._eager_threshold:
             free, arrival = self.network.transfer(src, dst, nbytes)
-            msg = Message(ctx, src, dst, tag, payload, False, None, seq)
+            msg = Message(ctx, src, dst, tag, payload, False, None)
             # the sender rarely waits on its completion before it has
             # passed: reserve the fire's slot, push it only if awaited
             send_event.fire_lazily_at(free)
@@ -163,75 +162,9 @@ class World:
                          (arrival, eng._seq, _K_CALL1, self._deliver, msg))
         else:
             _, hdr_arrival = self.network.transfer(src, dst, RTS_BYTES)
-            msg = Message(ctx, src, dst, tag, payload, True, send_event, seq)
+            msg = Message(ctx, src, dst, tag, payload, True, send_event)
             eng._sched(hdr_arrival, _K_CALL1, self._deliver, msg)
         return send_event
-
-    def send_batch(self, src: int,
-                   entries: list[tuple[int, int, int, Payload]]
-                   ) -> list[Request]:
-        """Start many messages from one rank at once; returns requests.
-
-        ``entries`` are ``(dst, ctx, tag, payload)`` tuples in issue
-        order (world ranks).  Runs of consecutive eager-sized messages
-        coalesce: their NIC reservations go through one vectorized
-        :meth:`NetworkModel.transfer_batch`, one shared completion event
-        fires when the last byte leaves the sender, and the deliveries
-        drain through one rolling scheduler entry
-        (:meth:`Engine.schedule_batch`) in arrival order.  Rendezvous
-        payloads keep the per-message protocol — their schedule depends
-        on receiver matching, which is not known up-front.
-
-        Waiting on all returned requests completes at the same virtual
-        time as issuing ``len(entries)`` :meth:`send_message_ev` calls in
-        the same order; callers must not depend on *individual* eager
-        request completions (they share one event).  Intended for
-        macro-coalesced exchange rounds, where per-round message sets
-        are static; the default per-message fidelities never call it.
-        """
-        eng = self.engine
-        net = self.network
-        nprocs = self.nprocs
-        requests: list[Request] = []
-        n = len(entries)
-        i = 0
-        coalesced = 0
-        while i < n:
-            if entries[i][3].nbytes > self._eager_threshold:
-                dst, ctx, tag, payload = entries[i]
-                requests.append(
-                    Request(self.send_message_ev(src, dst, ctx, tag,
-                                                 payload)))
-                i += 1
-                continue
-            j = i
-            while (j < n and entries[j][3].nbytes <= self._eager_threshold):
-                if not 0 <= entries[j][0] < nprocs:
-                    raise MPIError(
-                        f"destination rank {entries[j][0]} out of range")
-                j += 1
-            run = entries[i:j]
-            frees, arrivals = net.transfer_batch(
-                src, [e[0] for e in run], [e[3].nbytes for e in run])
-            self._msg_seq += 1
-            ev = Event(eng, ("sendbatch", self._msg_seq, src))
-            msgs = []
-            for dst, ctx, tag, payload in run:
-                self._msg_seq += 1
-                msgs.append(Message(ctx, src, dst, tag, payload, False,
-                                    None, self._msg_seq))
-            eng._sched(float(frees.max()), _K_FIRE, ev, None)
-            order = np.argsort(arrivals, kind="stable")
-            eng.schedule_batch(
-                [(float(arrivals[k]), self._deliver, msgs[k])
-                 for k in order])
-            requests.append(Request(ev))
-            coalesced += len(run)
-            i = j
-        if coalesced:
-            perf_counters.macro_rounds += 1
-            perf_counters.messages_coalesced += coalesced
-        return requests
 
     def post_recv_ev(self, dst: int, ctx: int, src: int, tag: int) -> Event:
         """Post a receive on rank ``dst``; the returned event fires with
@@ -415,23 +348,6 @@ class Communicator:
         return Request(self.world.send_message_ev(
             self.proc.rank, self.world_rank(dest), ctx, tag, payload))
 
-    def isend_batch(self, items: list[tuple[int, Any]],
-                    tag: int = 0) -> list[Request]:
-        """Batched :meth:`isend`: ``items`` are ``(dest, payload)`` pairs.
-
-        Thin wrapper over :meth:`World.send_batch`; see its contract.
-        Exchange rounds use this when the communicator's ``exchange``
-        fidelity is ``macro`` — the round's sends coalesce into one
-        vectorized NIC schedule instead of per-message events.
-        """
-        ctx = self.desc.ctx
-        entries = [
-            (self.world_rank(dest),
-             ctx, tag, obj if isinstance(obj, Payload) else Payload.of(obj))
-            for dest, obj in items
-        ]
-        return self.world.send_batch(self.proc.rank, entries)
-
     def irecv(self, source: int, tag: int = 0,
               _ctx: Optional[int] = None) -> Request:
         """Post a receive; the request's value is ``(payload, message)``."""
@@ -564,10 +480,10 @@ class Communicator:
 
         ``macro_path`` is the coalesced closed-form replay of the
         detailed schedule; only the synchronizing collectives provide
-        one.  ``gather`` and ``scatter`` have none (a rank may leave
-        before every rank has entered, which a site-based replay cannot
-        model), so under the ``macro`` fidelity they fall back to the
-        detailed path — a kind-based, rank-symmetric decision.
+        one.  ``gather`` has none (a rank may leave before every rank
+        has entered, which a site-based replay cannot model), so under
+        the ``macro`` fidelity it falls back to the detailed path — a
+        kind-based, rank-symmetric decision.
         """
         self._op_state[0] += 1
         t0 = self.now
@@ -700,30 +616,6 @@ class Communicator:
             analytic_site,
             lambda: detailed.alltoall(self, values, nbytes_each),
             macro_path=lambda: macro.alltoall(self, values, nbytes_each)))
-
-    def scatter(self, values: Optional[list] = None, root: int = 0,
-                nbytes: Optional[int] = None,
-                category: str = "sync") -> Generator[Any, Any, Any]:
-        """MPI_Scatter: rank i receives ``values[i]`` provided by the root."""
-        self.world_rank(root)  # an out-of-range root raises MPIError here
-        params = self.world.network.params
-        if self.rank == root and (values is None or len(values) != self.size):
-            raise MPIError(f"scatter root needs {self.size} values")
-
-        def combine(vals: dict[int, Any]) -> list:
-            return list(vals[root])
-
-        def cost(vals: dict[int, Any]) -> float:
-            nb = nbytes
-            if nb is None:
-                nb = max((sizeof(v) for v in vals[root]), default=0)
-            return analytic.scatter_cost(params, self.size, nb)
-
-        return (yield from self._collective(
-            category,
-            lambda: self._analytic_site(values if self.rank == root else None,
-                                        combine, cost, kind="scatter"),
-            lambda: detailed.scatter(self, values, root, nbytes)))
 
     # ------------------------------------------------------------------
     # communicator split

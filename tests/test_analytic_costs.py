@@ -14,7 +14,6 @@ ALL_COSTS = [
     ("barrier", lambda p, n: analytic.barrier_cost(P, p)),
     ("allreduce", lambda p, n: analytic.allreduce_cost(P, p, n)),
     ("gather", lambda p, n: analytic.gather_cost(P, p, n)),
-    ("scatter", lambda p, n: analytic.scatter_cost(P, p, n)),
     ("allgather", lambda p, n: analytic.allgather_cost(P, p, n)),
     ("alltoall", lambda p, n: analytic.alltoall_cost(P, p, n)),
 ]

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import Machine, MachineConfig, NetworkModel, NetworkParams
 from repro.cluster.machine import compute_mapping
 from repro.errors import ConfigError
 from repro.sim import Engine
+from repro.sim.resources import ServiceProfile
 
 
 class TestMapping:
@@ -112,3 +115,65 @@ class TestNetworkModel:
         net.transfer(0, 2, 200)
         assert net.messages_sent == 2
         assert net.bytes_sent == 300
+
+
+# -- transfer issued ahead of the clock vs a reserve_span pair ---------
+
+def _two_networks(nprocs=12, cores_per_node=3, profiled=()):
+    nets = []
+    for _ in range(2):
+        machine = Machine(MachineConfig(nprocs=nprocs,
+                                        cores_per_node=cores_per_node))
+        net = NetworkModel(Engine(), machine, NetworkParams())
+        for node in profiled:
+            net.tx[node].profile = ServiceProfile(
+                [(0.0, 1e-4, 0.25), (2e-4, 3e-4, 0.0)])
+            net.rx[node].profile = ServiceProfile([(0.0, 2e-4, 0.5)])
+        nets.append(net)
+    return nets
+
+
+def _transfer_by_spans(net, t, src_rank, dst_rank, nbytes):
+    """Reference: a message issued at ``t`` as two ``reserve_span``
+    calls (TX, then RX behind the wire latency)."""
+    net.messages_sent += 1
+    net.bytes_sent += nbytes
+    src_node = net._node_of[src_rank]
+    dst_node = net._node_of[dst_rank]
+    p = net.params
+    if src_node == dst_node:
+        done = t + p.send_overhead + nbytes / p.memcpy_bandwidth
+        return done, done
+    net.cross_node_messages += 1
+    net.cross_node_bytes += nbytes
+    tx_start, tx_done = net.tx[src_node].reserve_span(t, nbytes)
+    first_byte = tx_start + p.latency
+    return tx_done, net.rx[dst_node].reserve_span(first_byte, nbytes)[1]
+
+
+@settings(deadline=None)
+@given(msgs=st.lists(st.tuples(st.integers(min_value=0, max_value=11),
+                               st.integers(min_value=0, max_value=11),
+                               st.integers(min_value=0, max_value=1 << 18),
+                               st.floats(min_value=0.0, max_value=2e-5,
+                                         allow_nan=False)),
+                     min_size=1, max_size=30),
+       profiled=st.sampled_from([(), (0,), (0, 2)]))
+def test_transfer_at_issue_time_matches_reserve_span_pair(msgs, profiled):
+    """``transfer``'s inline nominal-speed copy of the NIC arithmetic
+    equals a TX/RX ``reserve_span`` pair, bit for bit, also when issued
+    ahead of the engine clock (the macro walker's path)."""
+    net_a, net_b = _two_networks(profiled=profiled)
+    t = 0.0
+    for src, dst, nbytes, gap in msgs:
+        # issue times run ahead of the (never advanced) engine clock
+        t += gap
+        assert (net_a.transfer(src, dst, nbytes, t)
+                == _transfer_by_spans(net_b, t, src, dst, nbytes))
+    assert net_a.engine.now == 0.0
+    assert net_a.messages_sent == net_b.messages_sent
+    assert net_a.bytes_sent == net_b.bytes_sent
+    assert net_a.cross_node_messages == net_b.cross_node_messages
+    assert net_a.cross_node_bytes == net_b.cross_node_bytes
+    for ra, rb in zip(net_a.tx + net_a.rx, net_b.tx + net_b.rx):
+        assert ra.busy_until == rb.busy_until

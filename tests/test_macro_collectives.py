@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import heapq
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.cluster import MachineConfig, NetworkParams
 from repro.errors import MPIError
+from repro.harness.runner import ExperimentConfig, run_experiment
 from repro.perf import perf_counters
 from repro.sim.effects import Sleep
 from repro.sim.resources import ServiceProfile
@@ -33,6 +35,7 @@ from repro.simmpi import World
 from repro.simmpi.collectives_macro import _Walker
 from repro.simmpi.payload import Payload
 from repro.simmpi.reduce_ops import SUM
+from repro.workloads import TileIOConfig, tile_io_program
 
 
 def net_snapshot(world: World) -> dict:
@@ -324,6 +327,28 @@ def test_macro_counters_increment():
     run_world("macro", 8, 4, grid_program("alltoall", 8, 64, 0.0))
     assert perf_counters.macro_rounds > before_rounds
     assert perf_counters.messages_coalesced > before_msgs
+
+
+def test_ext2ph_write_counts_one_macro_round_per_collective():
+    """Only collectives replay as macro rounds: the two-phase exchange
+    is per-message point-to-point traffic under every backend.  A
+    16-rank ext2ph tile write calls allgather, allreduce, one alltoall
+    and a barrier (its ``gather`` runs detailed), and ends at the
+    detailed run's virtual time."""
+    wl = TileIOConfig(tile_rows=32, tile_cols=24, element_size=64,
+                      hints={"protocol": "ext2ph"})
+    results = {}
+    for mode in ("detailed", "macro"):
+        cfg = ExperimentConfig(nprocs=16, collective_mode=mode,
+                               lustre={"n_osts": 4,
+                                       "default_stripe_count": 4})
+        perf_counters.sample_and_reset()  # drop other tests' counts
+        results[mode] = run_experiment(cfg, partial(tile_io_program, wl))
+    assert results["macro"].perf.macro_rounds == 4
+    assert results["detailed"].perf.macro_rounds == 0
+    assert (results["macro"].elapsed_total
+            == results["detailed"].elapsed_total)
+    assert results["macro"].messages == results["detailed"].messages
 
 
 def test_macro_dispatches_fewer_events():

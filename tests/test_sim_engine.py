@@ -456,3 +456,25 @@ def test_lazy_fire_resumes_exactly_like_fire_at(fires, waiters, perm):
     assert effects == ref_effects
     assert pushes <= ref_pushes
 
+
+def test_lazy_tuple_task_and_event_names():
+    from repro.sim.engine import _label
+
+    eng = Engine()
+    seen = {}
+
+    def child():
+        yield from ()
+        return "ok"
+
+    def prog():
+        task = eng.spawn(child(), ("write", 3))
+        seen["name"] = task.name
+        ev = Event(eng, ("send-free", 1, 0))
+        ev.fire("v")
+        seen["event"] = _label(ev.name)
+        yield from ()
+
+    eng.run_tasks([prog()])
+    assert seen["name"] == "write:3"
+    assert seen["event"] == "send-free:1:0"

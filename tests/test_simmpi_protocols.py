@@ -91,7 +91,7 @@ class TestRequestStates:
 
 class TestMailbox:
     def msg(self, ctx=0, src=1, tag=5):
-        return Message(ctx, src, 0, tag, Payload.model(4), False, None, 1)
+        return Message(ctx, src, 0, tag, Payload.model(4), False, None)
 
     def pr(self, ctx=0, src=1, tag=5):
         return PostedRecv(ctx, src, tag, Event(Engine(), "e"))
@@ -163,19 +163,17 @@ def test_mailbox_matches_linear_scan_reference(ops):
     """Same matched objects and counters as MPI's linear-scan rules."""
     engine = Engine()
     mb, ref = Mailbox(), ReferenceMailbox()
-    for seq, (op, ctx, src, tag) in enumerate(ops, start=1):
+    for op, ctx, src, tag in ops:
         if op == "post":
             pr = PostedRecv(ctx, src, tag, Event(engine, "e"))
             mb.add_posted(pr)
             ref.posted.append(pr)
         elif op == "arrive":
-            msg = Message(ctx, src, 0, tag, Payload.model(4), False, None,
-                          seq)
+            msg = Message(ctx, src, 0, tag, Payload.model(4), False, None)
             mb.add_unexpected(msg)
             ref.unexpected.append(msg)
         elif op == "match_posted":
-            probe = Message(ctx, src, 0, tag, Payload.model(4), False,
-                            None, seq)
+            probe = Message(ctx, src, 0, tag, Payload.model(4), False, None)
             assert mb.match_posted(probe) is ref.match_posted(probe)
         else:
             assert (mb.match_unexpected_key(ctx, src, tag)
@@ -198,15 +196,15 @@ class TestMailboxSlots:
         mb.add_posted(prs[1])
         mb.add_posted(prs[2])
         assert list(mb.posted_exact[(0, 1, 5)]) == prs
-        msg = Message(0, 1, 0, 5, Payload.model(4), False, None, 9)
+        msg = Message(0, 1, 0, 5, Payload.model(4), False, None)
         assert [mb.match_posted(msg) for _ in range(3)] == prs
         assert mb.posted_exact == {}
         assert mb.match_posted(msg) is None
 
     def test_unexpected_slot_grows_to_deque_and_empties(self):
         mb = Mailbox()
-        msgs = [Message(0, 1, 0, 5, Payload.model(4), False, None, seq)
-                for seq in (1, 2, 3)]
+        msgs = [Message(0, 1, 0, 5, Payload.model(4), False, None)
+                for _ in range(3)]
         mb.add_unexpected(msgs[0])
         assert mb.unexpected_by_key[(0, 1, 5)] is msgs[0]
         mb.add_unexpected(msgs[1])
@@ -247,7 +245,7 @@ class TestMailboxMemory:
 
     def test_early_message_on_fresh_key(self):
         mb = Mailbox()
-        msgs = [Message(0, 1, 0, 1000 + i, Payload.model(4), False, None, i)
+        msgs = [Message(0, 1, 0, 1000 + i, Payload.model(4), False, None)
                 for i in range(self.N)]
         per = _bytes_per_add(mb.add_unexpected, msgs)
         assert per < 250, f"{per:.0f} B per early message"
