@@ -380,7 +380,7 @@ def _aggregate_and_write(env: IOEnv, all_counts: np.ndarray,
     recv_reqs = [comm.irecv(source=s, tag=TP_TAG + rnd)
                  for s in _sources(all_counts, comm.rank)]
     got = yield from comm.waitall(recv_reqs, category="exchange")
-    pieces.extend(((p.data[0], p.data[1]), p.data[2]) for p, _status in got)
+    pieces.extend(((p.data[0], p.data[1]), p.data[2]) for p in got)
     del recv_reqs, got  # the completed requests hold the payloads too
     if not pieces:
         if env.validator is not None:
@@ -490,7 +490,7 @@ def _read_and_reply(env: IOEnv, all_counts: np.ndarray, local_want,
     reqs = [comm.irecv(source=s, tag=TP_TAG + rnd) for s in sources]
     got = yield from comm.waitall(reqs, category="exchange")
     requests: list[tuple[int, Segments]] = []
-    for src, (payload, _msg) in zip(sources, got):
+    for src, payload in zip(sources, got):
         sub_offs, sub_lens = payload.data
         requests.append((src, (sub_offs, sub_lens)))
     if local_want is not None:

@@ -81,7 +81,7 @@ class ShardWorld(World):
         return hit
 
     def send_message_ev(self, src: int, dst: int, ctx: int, tag: int,
-                        payload: Payload) -> Event:
+                        payload: Payload) -> "tuple | Event":
         if (src in self._owned_set) != (dst in self._owned_set):
             raise ShardError(
                 f"point-to-point message {src}->{dst} (ctx {ctx}, tag "

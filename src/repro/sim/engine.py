@@ -6,10 +6,10 @@ Design notes
   is a monotone counter; this makes execution order fully deterministic.
 * Same-time work bypasses the heap entirely: anything scheduled at the
   *current* virtual time goes onto a FIFO ready deque.  Every heap entry
-  at time ``t`` was necessarily pushed while ``now < t`` (same-time
-  entries never reach the heap), so its seq precedes that of any deque
-  entry created at ``t`` — draining heap entries at ``now`` before the
-  deque reproduces exact ``(time, seq)`` order.  This matters because
+  at time ``t`` carries a seq allocated while ``now < t`` (same-time
+  scheduling allocates none), so it precedes any deque entry created
+  at ``t`` — draining heap entries at ``now`` before the deque
+  reproduces exact ``(time, seq)`` order.  This matters because
   same-time scheduling is the dominant case: every event fire, task
   resumption, and task finish lands at the current time.
 * Scheduler entries are plain tuples ``(kind, a, b)`` dispatched in the
@@ -30,23 +30,24 @@ Design notes
   effects), but each resumption enters one frame instead of the whole
   caller chain.  ``yield from`` stays the convention;
   ``Communicator._collective`` is the one subroutine call site.
-* :meth:`Event.fire_lazily_at` reserves a fire's ``(t, seq)`` slot as
-  :meth:`Event.fire_at` would, but pushes no heap entry.  A wait on the
-  event, or a ``fired``/``value`` read, settles it (:meth:`_settle`):
-  if the slot has passed — ``t < now``, or ``t == now`` and the
-  dispatch in progress (``_dispatch_seq``: the dispatched heap entry's
-  seq, infinity while the ready deque drains) comes after it — the
-  event counts as fired with None; otherwise its fire is pushed at
-  exactly ``(t, seq)``.  The slot is reserved before the clock reaches
-  ``t``, and every such entry at ``t`` dispatches, in seq order, before
-  the deque drains: so the event is seen fired exactly when its heap
-  entry would have been dispatched.  The invariant is that the heap
-  holds the entry whenever anything can act on it: an unsettled mark
-  has no waiters, so its dispatch would do nothing.  The macro walker
-  depends on it, because it reads the engine heap to decide how far it
-  may advance inline (:mod:`repro.simmpi.collectives_macro`).  Eager
-  send completions, which their senders rarely await before they pass,
-  fire this way.
+* A *slot* is a ``(time, seq, value)`` tuple whose seq comes from the
+  engine's counter (:meth:`Engine.slot`); a task may yield it as it
+  yields an event.  If the slot has passed — ``time < now``, or
+  ``time == now`` and its seq precedes the dispatch in progress
+  (``_dispatch_seq``: the dispatched heap entry's seq, infinity while
+  the ready deque drains) — the yield returns ``value`` at once;
+  otherwise the engine pushes one heap entry at exactly ``(time, seq)``
+  that puts the task on the ready deque, which is where an event fired
+  at that slot would have put it.  A slot thus costs a heap entry only
+  if a task waits on it before it passes, and until then the heap
+  holds nothing that could act: the macro walker depends on that,
+  because it reads the engine heap to decide how far it may advance
+  inline (:mod:`repro.simmpi.collectives_macro`).  A slot has one
+  waiter: two push equal heap keys, and the heap raises ``TypeError``
+  once it compares their tasks.  Point-to-point messaging hands each
+  eager message's completion slot to its sender and its arrival slot
+  to the one receive that it matched.  A slot that nobody waits on
+  never reaches the heap, so it does not advance the clock.
 * Diagnostic strings (task blocking state, event names) are kept as
   cheap tuples and rendered only when a diagnostic is actually printed —
   formatting them eagerly used to cost an f-string per message.
@@ -84,12 +85,21 @@ _INF = float("inf")
 #: scheduler entry kinds, dispatched in the run loop
 _K_FN = 0     # a()
 _K_STEP = 1   # engine._step(a, b)
+_K_WAKE = 2   # a slot's waiter a goes on the ready deque with value b
 _K_FIRE = 3   # a.fire(b)
 _K_CALL1 = 4  # a(b) — lets callers schedule a bound method + argument
               # without allocating a closure per call
 
 #: cyclic-collector thresholds while :meth:`Engine.run` is executing
 _RUN_GC_THRESHOLDS = (100_000, 50, 100)
+
+
+def _non_effect(task: "Task", effect: Any) -> SimulationError:
+    return SimulationError(
+        f"task {task.name!r} yielded a non-effect: {effect!r} (yield a "
+        "Sleep, a WaitEvent, an Event, a (time, seq, value) slot, or a "
+        "generator to run as a subroutine; blocking helpers are invoked "
+        "with 'yield from')")
 
 
 def _label(name: Any) -> str:
@@ -111,27 +121,20 @@ class Event:
     formatting strings per event.
     """
 
-    __slots__ = ("engine", "name", "_value", "_waiters", "_at", "_at_seq")
+    __slots__ = ("engine", "name", "_value", "_waiters")
 
     def __init__(self, engine: "Engine", name: Any = "event"):
         self.engine = engine
         self.name = name
         self._value: Any = _PENDING
         self._waiters: list[Task] = []
-        #: time of an unsettled :meth:`fire_lazily_at` slot, else None;
-        #: ``_at_seq`` holds the slot's seq while ``_at`` is set
-        self._at: Optional[float] = None
 
     @property
     def fired(self) -> bool:
-        if self._at is not None:
-            self.engine._settle(self)
         return self._value is not _PENDING
 
     @property
     def value(self) -> Any:
-        if self._at is not None:
-            self.engine._settle(self)
         if self._value is _PENDING:
             raise SimulationError(
                 f"event {_label(self.name)!r} read before being fired")
@@ -154,24 +157,6 @@ class Event:
     def fire_at(self, t: float, value: Any = None) -> None:
         """Schedule this event to fire at virtual time ``t``."""
         self.engine._sched(t, _K_FIRE, self, value)
-
-    def fire_lazily_at(self, t: float) -> None:
-        """``fire_at(t)``, with the heap entry pushed only if a task
-        waits on the event, or reads it, before ``t`` has passed (see
-        the module notes).  A same-time fire, or one that a task already
-        waits on, is scheduled as ``fire_at`` schedules it."""
-        engine = self.engine
-        if t <= engine.now or self._waiters:
-            engine._sched(t, _K_FIRE, self, None)
-            return
-        engine._seq += 1
-        self._at = t
-        self._at_seq = engine._seq
-
-    def fire_later(self, dt: float, value: Any = None) -> None:
-        """Schedule this event to fire ``dt`` seconds from now."""
-        engine = self.engine
-        engine._sched(engine.now + dt, _K_FIRE, self, value)
 
 
 class Task:
@@ -247,7 +232,7 @@ class Engine:
         #: scheduler entries that bypassed the heap via the ready deque
         self.heap_bypasses = 0
         #: seq of the heap entry being dispatched; infinity while the
-        #: ready deque drains (see :meth:`_settle`)
+        #: ready deque drains (see :meth:`passed`)
         self._dispatch_seq: float = _INF
         #: cyclic-GC passes per generation, and host seconds spent in
         #: them, while :meth:`run` was executing (any thread's passes)
@@ -296,19 +281,29 @@ class Engine:
         self.heap_pushes += 1
         heapq.heappush(self._heap, (t, seq, kind, a, b))
 
-    def _settle(self, ev: Event) -> bool:
-        """Resolve ``ev``'s :meth:`Event.fire_lazily_at` slot: fire it
-        now and return True if the slot has passed, else push its fire
-        at exactly that slot and return False."""
-        t = ev._at
-        ev._at = None
-        now = self.now
-        if t < now or (t == now and ev._at_seq < self._dispatch_seq):
-            ev.fire()
-            return True
-        self.heap_pushes += 1
-        heapq.heappush(self._heap, (t, ev._at_seq, _K_FIRE, ev, None))
-        return False
+    def slot(self, t: float, value: Any = None) -> "tuple | Event":
+        """Reserve a wake at virtual time ``t`` (>= now) carrying
+        ``value``: the slot ``(t, seq, value)`` with the next seq (see
+        the module notes).  A wake at the current time is an
+        :class:`Event` fired with ``value`` from the ready deque, where
+        a same-time fire goes; it is yielded and read like a slot."""
+        if t > self.now:
+            self._seq += 1
+            return (t, self._seq, value)
+        ev = Event(self, "slot")
+        self._sched(t, _K_FIRE, ev, value)
+        return ev
+
+    def passed(self, slot: "tuple | Event") -> bool:
+        """Has ``slot`` been reached: would a yield of it return at once?
+
+        True from exactly the point where the slot's heap entry would
+        have been dispatched.  An :class:`Event` counts as passed once
+        fired."""
+        if slot.__class__ is Event:
+            return slot._value is not _PENDING
+        t, seq, _ = slot
+        return t < self.now or (t == self.now and seq < self._dispatch_seq)
 
     def call_at(self, t: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` at virtual time ``t`` (>= now)."""
@@ -377,11 +372,24 @@ class Engine:
                     if effect._value is not _PENDING:
                         value = effect._value
                         continue
-                    if effect._at is not None and self._settle(effect):
-                        value = None
-                        continue
                     task.state = ("waiting", effect.name)
                     effect._waiters.append(task)
+                    return
+                if cls is tuple:
+                    # a slot: returns its value once passed, else one
+                    # heap entry at its (time, seq) wakes the task
+                    try:
+                        t, seq, value = effect
+                        if t < self.now or (t == self.now
+                                            and seq < self._dispatch_seq):
+                            continue
+                    except (TypeError, ValueError):
+                        throw = _non_effect(task, effect)
+                        value = None
+                        continue
+                    task.state = ("sleeping", t)
+                    self.heap_pushes += 1
+                    heapq.heappush(self._heap, (t, seq, _K_WAKE, task, value))
                     return
                 if cls is Sleep:
                     dt = effect.dt
@@ -406,9 +414,6 @@ class Engine:
                     if ev._value is not _PENDING:
                         value = ev._value
                         continue
-                    if ev._at is not None and self._settle(ev):
-                        value = None
-                        continue
                     task.state = ("waiting", ev.name)
                     ev._waiters.append(task)
                     return
@@ -421,12 +426,7 @@ class Engine:
                     send = gen.send
                     value = None
                 else:
-                    throw = SimulationError(
-                        f"task {task.name!r} yielded a non-effect: {effect!r} "
-                        "(yield a Sleep, a WaitEvent, an Event, or a "
-                        "generator to run as a subroutine; blocking "
-                        "helpers are invoked with 'yield from')"
-                    )
+                    throw = _non_effect(task, effect)
                     value = None
         finally:
             self.effects_dispatched += n
@@ -528,6 +528,10 @@ class Engine:
                 step(a, b)
             elif kind == _K_FIRE:
                 a.fire(b)
+            elif kind == _K_WAKE:
+                # only ever a heap entry: the slot's event-like fire
+                self.heap_bypasses += 1
+                ready.append((_K_STEP, a, b))
             elif kind == _K_CALL1:
                 a(b)
             else:  # _K_FN

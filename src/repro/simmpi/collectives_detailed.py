@@ -57,7 +57,7 @@ def allreduce(comm: "Communicator", value: Any, op: ReduceOp,
         yield comm._coll_isend(acc, r - pof2, tagbase, nbytes=nbytes)
         newrank = -1
     elif r < rem:
-        payload = (yield comm._coll_irecv(r + pof2, tagbase))[0]
+        payload = yield comm._coll_irecv(r + pof2, tagbase)
         acc = op(acc, payload.data)
         newrank = r
     else:
@@ -68,14 +68,14 @@ def allreduce(comm: "Communicator", value: Any, op: ReduceOp,
         while mask < pof2:
             partner = newrank ^ mask
             sreq = comm._coll_isend(acc, partner, tagbase + k, nbytes=nbytes)
-            payload = (yield comm._coll_irecv(partner, tagbase + k))[0]
+            payload = yield comm._coll_irecv(partner, tagbase + k)
             yield sreq
             acc = op(acc, payload.data)
             mask <<= 1
             k += 1
     # unfold: core ranks push the result back out
     if r >= pof2:
-        payload = (yield comm._coll_irecv(r - pof2, tagbase + 32))[0]
+        payload = yield comm._coll_irecv(r - pof2, tagbase + 32)
         acc = payload.data
     elif r < rem:
         yield comm._coll_isend(acc, r + pof2, tagbase + 32, nbytes=nbytes)
@@ -100,7 +100,7 @@ def gather(comm: "Communicator", value: Any, root: int,
             return None
         src_rel = relative | mask
         if src_rel < p:
-            payload = (yield comm._coll_irecv((src_rel + root) % p, tag))[0]
+            payload = yield comm._coll_irecv((src_rel + root) % p, tag)
             collected.update(payload.data)
         mask <<= 1
     return [collected[r] for r in range(p)]
@@ -122,7 +122,7 @@ def allgather(comm: "Communicator", value: Any,
     for i in range(p - 1):
         recv_idx = (r - i - 1) % p
         sreq = comm._coll_isend(block, right, tag)
-        payload = (yield comm._coll_irecv(left, tag))[0]
+        payload = yield comm._coll_irecv(left, tag)
         yield sreq
         block = payload
         result[recv_idx] = payload.data
@@ -155,7 +155,7 @@ def alltoall(comm: "Communicator", values: list,
                            Payload(nbytes_each, vals[dst]))
         else:
             sreq = comm._coll_isend(vals[dst], dst, tag, nbytes=nbytes_each)
-        payload = (yield recv_ev(me, cctx, members[src], tag))[0]
+        payload = yield recv_ev(me, cctx, members[src], tag)
         yield sreq
         result[src] = payload.data
     if isinstance(values, np.ndarray):

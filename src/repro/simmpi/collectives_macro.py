@@ -1,13 +1,13 @@
 """Macro collective fidelity: coalesce a round's messages into closed form.
 
 The ``detailed`` fidelity simulates every collective message as engine
-traffic — one generator resumption, two scheduler entries, a mailbox
-match, and an event fire per message.  For the synchronizing collectives
-(barrier, allgather, alltoall, allreduce) the message schedule is
-*statically known*: every send's destination, size, and matching receive
-are fixed by the algorithm, and no rank can leave before every rank has
-entered (each exit transitively depends on a message from every
-participant).  The ``macro`` fidelity exploits exactly that:
+traffic — a send, a mailbox match, generator resumptions, and a
+scheduler entry for each wait that has not passed.  For the
+synchronizing collectives (barrier, allgather, alltoall, allreduce) the
+message schedule is *statically known*: every send's destination, size,
+and matching receive are fixed by the algorithm, and no rank can leave
+before every rank has entered (each exit transitively depends on a
+message from every participant).  The ``macro`` fidelity exploits exactly that:
 participating ranks park on one event apiece while a shared per-world
 *walker* replays the detailed algorithm's message schedule as a
 timestamp-ordered walk over the send/receive dependency graph — no
@@ -208,13 +208,13 @@ class _Walker:
 
     Work lives on a heap keyed ``(t, phase, seq)``: phase 0 entries are
     real scheduler entries (rendezvous header deliveries and data
-    phases), phase 1 entries are rank resumptions whose seq is the entry
-    that woke the task — the send event's fire when the send finished
-    last, the delivery's when the receive did.  Sequence numbers are
-    allocated *from the engine's own counter*, in engine push order: per
-    eager message the send fire then the delivery, per rendezvous the
-    header delivery, the clear-to-send at match time, then the data
-    phase's sender-free and arrival fires.  Sharing the engine's
+    phases), phase 1 entries are rank resumptions whose seq is the slot
+    that woke the task — the send's completion when the send finished
+    last, the message's arrival when the receive did.  Sequence numbers
+    are allocated *from the engine's own counter*, in the per-message
+    schedule's order: per eager message the completion slot then the
+    arrival slot, per rendezvous the header delivery, the clear-to-send
+    at match time, then the data phase's sender-free and arrival fires.  Sharing the engine's
     sequence space across every macro site in the world keeps concurrent
     rounds — and unrelated per-message traffic — in the one global order
     the engine's own heap would impose.
@@ -451,8 +451,8 @@ class _Walker:
                     nsent += 1
                     free, arr = transfer(members[r], members[dst], nb, t)
                     sendT = free
-                    sbind = eng._seq + 1   # send-event fire
-                    dseq = sbind + 1       # delivery
+                    sbind = eng._seq + 1   # completion slot
+                    dseq = sbind + 1       # arrival slot
                     eng._seq = dseq
                     pe = pend[dst]
                     if pe is None or pe[0] != dstep:

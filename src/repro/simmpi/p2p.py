@@ -2,25 +2,28 @@
 
 Matching follows MPI rules for fully specified receives: a receive
 matches on ``(context, source, tag)``, posted receives match in post
-order, unexpected messages in arrival order.  Messages that cross the
-network between one (sender, receiver, context) pair do not overtake:
-the sender's TX and the receiver's RX NIC are FIFO resources, so
-arrivals keep issue order; deliveries due at one virtual time run in
-the engine's ``(time, seq)`` order; and each mailbox key queues its
-posted receives and unexpected messages FIFO.  On-node messages are
-timed as independent memory copies, so a shorter one can overtake a
-longer one sent before it.  No I/O protocol posts a wildcard receive,
-so there is no ``ANY_SOURCE`` / ``ANY_TAG``.
+order and messages in send order.  A message is matched when it is
+sent, against its receiver's FIFO for its key, so no message overtakes
+an earlier one from the same sender on the same key, on the network or
+on one node: the first receive gets the first message, and completes
+when that message has arrived even if a later, shorter one arrived
+first.  No I/O protocol posts a wildcard receive, so there is no
+``ANY_SOURCE`` / ``ANY_TAG``.
 
 Protocols:
 
 * **eager** (size <= ``eager_threshold``) — the payload is pushed
   immediately; the sender completes as soon as the NIC accepts the data.
+  Both ends wait on engine slots (:meth:`repro.sim.Engine.slot`): the
+  sender on its completion slot, the receive on the message's arrival
+  slot, or on its own event if it was posted before the send.
 * **rendezvous** — only a header travels at send time; the data transfer
-  starts when the receiver matches the header (clear-to-send latency),
-  and the *sender* blocks until the NIC drains the payload.  This is what
-  couples process skew across ranks in collective I/O: a late receiver
-  stalls its senders.
+  starts when the header has arrived and a receive has matched it
+  (clear-to-send latency), and the *sender* blocks until the NIC drains
+  the payload.  This is what couples process skew across ranks in
+  collective I/O: a late receiver stalls its senders.
+
+A receive's value is the payload.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Generator, Optional
 
-from repro.sim.engine import Event
+from repro.sim.engine import Engine, Event
 from repro.simmpi.payload import Payload
 
 #: modeled wire size of a rendezvous header / clear-to-send
@@ -36,46 +39,46 @@ RTS_BYTES = 64
 
 
 class Message:
-    """An in-flight message (world-rank addressed)."""
+    """A rendezvous message whose data has not moved yet (world-rank
+    addressed).
 
-    __slots__ = ("ctx", "src", "dst", "tag", "payload", "rendezvous",
-                 "send_event")
+    ``recv`` is the matched receive's event, None until one is posted;
+    ``arrived`` turns true when the header reaches the receiver.  The
+    clear-to-send starts once both hold.
+    """
 
-    def __init__(self, ctx: int, src: int, dst: int, tag: int,
-                 payload: Payload, rendezvous: bool,
-                 send_event: Optional[Event]):
-        self.ctx = ctx
+    __slots__ = ("src", "dst", "payload", "send_event", "recv", "arrived")
+
+    def __init__(self, src: int, dst: int, payload: Payload,
+                 send_event: Event):
         self.src = src
         self.dst = dst
-        self.tag = tag
         self.payload = payload
-        self.rendezvous = rendezvous
         self.send_event = send_event
-
-
-class PostedRecv:
-    """A receive waiting to be matched."""
-
-    __slots__ = ("ctx", "src", "tag", "event")
-
-    def __init__(self, ctx: int, src: int, tag: int, event: Event):
-        self.ctx = ctx
-        self.src = src
-        self.tag = tag
-        self.event = event
+        self.recv: Optional[Event] = None
+        self.arrived = False
 
 
 class Request:
-    """Handle for a pending operation; complete it with ``yield from wait()``."""
+    """Handle for a pending operation; complete it with ``yield from wait()``.
 
-    __slots__ = ("event",)
+    ``event`` is what a task yields to wait: an :class:`Event`, or an
+    engine slot (see :mod:`repro.sim.engine`).  One task may wait on a
+    slot request; any task may read ``complete``.  A second task waiting
+    on the same slot pushes an equal heap key, and the run fails with a
+    ``TypeError`` from the heap once it compares the two waiting tasks.
+    An :class:`Event` request may have any number of waiters.
+    """
 
-    def __init__(self, event: Event):
+    __slots__ = ("engine", "event")
+
+    def __init__(self, engine: Engine, event: "Event | tuple"):
+        self.engine = engine
         self.event = event
 
     @property
     def complete(self) -> bool:
-        return self.event.fired
+        return self.engine.passed(self.event)
 
     def wait(self) -> Generator[Any, Any, Any]:
         value = yield self.event
@@ -91,89 +94,64 @@ def waitall(requests: list[Request]) -> Generator[Any, Any, list[Any]]:
 
 
 class Mailbox:
-    """Per-rank matching state, indexed for O(1) matches.
+    """Per-rank matching state: one FIFO per ``(ctx, src, tag)`` key.
 
-    Posted receives and unexpected messages each live in a dict keyed on
-    their ``(ctx, src, tag)`` triple.  A key holding one entry maps
-    straight to it; a second entry with the same key turns the value
-    into a FIFO ``deque``, dropped when it empties.  Every receive names
-    its key, so the FIFO of one key is exactly MPI's order: posted
-    receives match in post order, unexpected messages in arrival order.
-    Collective and exchange tags are unique per call and round, so almost
-    every key holds one entry and costs no deque.
+    ``posted`` queues the events of receives posted before any message
+    on their key was sent, in post order; ``unexpected`` queues messages
+    sent before their receive was posted, in send order — an eager
+    message as its arrival slot, a rendezvous one as its
+    :class:`Message`.  A key never holds both.  A key holding one entry
+    maps straight to it; a second entry with the same key turns the
+    value into a FIFO ``deque``, dropped when it empties.  Collective
+    and exchange tags are unique per call and round, so almost every
+    key holds one entry and costs no deque.
     """
 
-    __slots__ = ("posted_exact", "unexpected_by_key", "n_posted",
-                 "n_unexpected", "exact_matches")
+    __slots__ = ("posted", "unexpected", "exact_matches")
 
     def __init__(self) -> None:
-        self.posted_exact: dict[tuple[int, int, int],
-                                PostedRecv | deque[PostedRecv]] = {}
-        self.unexpected_by_key: dict[tuple[int, int, int],
-                                     Message | deque[Message]] = {}
-        self.n_posted = 0
-        self.n_unexpected = 0
+        self.posted: dict[tuple[int, int, int], Any] = {}
+        self.unexpected: dict[tuple[int, int, int], Any] = {}
         self.exact_matches = 0
 
-    def add_posted(self, pr: PostedRecv) -> None:
+    def add_posted(self, key: tuple[int, int, int], recv: Event) -> None:
         """Queue an unmatched receive (in post order)."""
-        key = (pr.ctx, pr.src, pr.tag)
-        slot = self.posted_exact.setdefault(key, pr)
-        if slot is not pr:
-            if slot.__class__ is deque:
-                slot.append(pr)
+        held = self.posted.setdefault(key, recv)
+        if held is not recv:
+            if held.__class__ is deque:
+                held.append(recv)
             else:
-                self.posted_exact[key] = deque((slot, pr))
-        self.n_posted += 1
+                self.posted[key] = deque((held, recv))
 
-    def add_unexpected(self, msg: Message) -> None:
-        """Queue a message that arrived before its receive (arrival order)."""
-        key = (msg.ctx, msg.src, msg.tag)
-        slot = self.unexpected_by_key.setdefault(key, msg)
-        if slot is not msg:
-            if slot.__class__ is deque:
-                slot.append(msg)
+    def add_unexpected(self, key: tuple[int, int, int], msg: Any) -> None:
+        """Queue a message sent before its receive (in send order)."""
+        held = self.unexpected.setdefault(key, msg)
+        if held is not msg:
+            if held.__class__ is deque:
+                held.append(msg)
             else:
-                self.unexpected_by_key[key] = deque((slot, msg))
-        self.n_unexpected += 1
+                self.unexpected[key] = deque((held, msg))
 
-    def match_posted(self, msg: Message) -> Optional[PostedRecv]:
-        """Find (and remove) the first-posted recv matching ``msg``."""
-        key = (msg.ctx, msg.src, msg.tag)
-        slot = self.posted_exact.get(key)
-        if slot is None:
+    def match_posted(self, key: tuple[int, int, int]) -> Optional[Event]:
+        """Take the first-posted receive on ``key``, or None."""
+        recv = self.posted.pop(key, None)
+        if recv is None:
             return None
-        if slot.__class__ is deque:
-            pr = slot.popleft()
-            if not slot:
-                del self.posted_exact[key]
-        else:
-            pr = slot
-            del self.posted_exact[key]
-        self.n_posted -= 1
         self.exact_matches += 1
-        return pr
+        if recv.__class__ is deque:
+            held, recv = recv, recv.popleft()
+            if held:
+                self.posted[key] = held
+        return recv
 
-    def match_unexpected_key(self, p_ctx: int, p_src: int,
-                             p_tag: int) -> Optional[Message]:
-        """Find (and remove) the earliest-arrived message on the key; the
-        receive-post hot path matches before it ever builds a
-        :class:`PostedRecv`."""
-        key = (p_ctx, p_src, p_tag)
-        slot = self.unexpected_by_key.get(key)
-        if slot is None:
+    def match_unexpected(self, key: tuple[int, int, int]) -> Any:
+        """Take the first-sent message on ``key``, or None."""
+        msg = self.unexpected.pop(key, None)
+        if msg is None:
             return None
-        if slot.__class__ is deque:
-            msg = slot.popleft()
-            if not slot:
-                del self.unexpected_by_key[key]
-        else:
-            msg = slot
-            del self.unexpected_by_key[key]
-        self.n_unexpected -= 1
         self.exact_matches += 1
+        if msg.__class__ is deque:
+            held, msg = msg, msg.popleft()
+            if held:
+                self.unexpected[key] = held
         return msg
-
-    def describe(self) -> str:
-        return (f"{self.n_posted} posted recv(s), "
-                f"{self.n_unexpected} unexpected message(s)")

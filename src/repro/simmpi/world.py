@@ -9,7 +9,6 @@ completion.
 
 from __future__ import annotations
 
-from heapq import heappush
 from typing import Any, Callable, Generator, Optional
 
 import numpy as np
@@ -18,12 +17,11 @@ from repro.cluster.machine import Machine, MachineConfig
 from repro.cluster.network import NetworkModel, NetworkParams
 from repro.errors import MPIError, ParCollError, TaskFailedError
 from repro.sim.effects import Sleep, WaitEvent
-from repro.sim.engine import _K_CALL1, Engine, Event
+from repro.sim.engine import _K_CALL1, _K_FIRE, Engine, Event
 from repro.simmpi import analytic, collectives_detailed as detailed
 from repro.simmpi import collectives_macro as macro
 from repro.simmpi.backends import CollectiveBackend, resolve_backend
-from repro.simmpi.p2p import (Mailbox, Message, PostedRecv, Request,
-                              RTS_BYTES, waitall)
+from repro.simmpi.p2p import Mailbox, Message, Request, RTS_BYTES, waitall
 from repro.simmpi.payload import Payload, sizeof
 from repro.simmpi.reduce_ops import SUM, ReduceOp
 from repro.simmpi.timers import TimeBreakdown
@@ -112,7 +110,6 @@ class World:
         #: optional FaultInjector applying NodeSlowdown events here
         self.faults = faults
         self.nprocs = machine.nprocs
-        self._msg_seq = 0
         self._next_ctx = 1
         #: registry of split-derived descriptors keyed (parent ctx, seq, color)
         self._split_registry: dict[tuple, CommDescriptor] = {}
@@ -134,82 +131,79 @@ class World:
     # message transport
     # ------------------------------------------------------------------
     def send_message_ev(self, src: int, dst: int, ctx: int, tag: int,
-                        payload: Payload) -> Event:
-        """Start a message; returns the sender-completion event."""
+                        payload: Payload) -> "tuple | Event":
+        """Start a message; returns what its sender waits on.
+
+        The message is matched now, in send order, against the
+        receiver's FIFO for ``(ctx, src, tag)``.  An eager send returns
+        its completion slot; its delivery fires an already-posted
+        receive's event at its arrival slot, or waits on the key as that
+        slot, carrying the payload, for the receive that returns it.  A
+        rendezvous send returns the event that its data phase fires, and
+        its header takes its place in the FIFO the same way.
+        """
         if not 0 <= dst < self.nprocs:
             raise MPIError(f"destination rank {dst} out of range")
         eng = self.engine
-        self._msg_seq += 1
-        seq = self._msg_seq
-        send_event = Event(eng, ("send", seq, src, dst))
+        key = (ctx, src, tag)
+        mbox = self.procs[dst].mailbox
         nbytes = payload.nbytes
         if nbytes <= self._eager_threshold:
             free, arrival = self.network.transfer(src, dst, nbytes)
-            msg = Message(ctx, src, dst, tag, payload, False, None)
-            # the sender rarely waits on its completion before it has
-            # passed: reserve the fire's slot, push it only if awaited
-            send_event.fire_lazily_at(free)
-            # inlined engine._sched for the delivery; transfer() never
-            # returns a time before now
-            now = eng.now
-            if arrival == now:
-                eng.heap_bypasses += 1
-                eng._ready.append((_K_CALL1, self._deliver, msg))
+            done = eng.slot(free)
+            recv = mbox.match_posted(key)
+            if recv is None:
+                mbox.add_unexpected(key, eng.slot(arrival, payload))
             else:
-                eng._seq += 1
-                eng.heap_pushes += 1
-                heappush(eng._heap,
-                         (arrival, eng._seq, _K_CALL1, self._deliver, msg))
-        else:
-            _, hdr_arrival = self.network.transfer(src, dst, RTS_BYTES)
-            msg = Message(ctx, src, dst, tag, payload, True, send_event)
-            eng._sched(hdr_arrival, _K_CALL1, self._deliver, msg)
-        return send_event
+                eng._sched(arrival, _K_FIRE, recv, payload)
+            return done
+        _, header = self.network.transfer(src, dst, RTS_BYTES)
+        msg = Message(src, dst, payload, Event(eng, ("send", src, dst, tag)))
+        msg.recv = mbox.match_posted(key)
+        if msg.recv is None:
+            mbox.add_unexpected(key, msg)
+        eng._sched(header, _K_CALL1, self._header_arrives, msg)
+        return msg.send_event
 
-    def post_recv_ev(self, dst: int, ctx: int, src: int, tag: int) -> Event:
-        """Post a receive on rank ``dst``; the returned event fires with
-        ``(payload, message)``."""
-        self._msg_seq += 1
-        seq = self._msg_seq
-        event = Event(self.engine, ("recv", seq, "at", dst, "from", src,
-                                    "tag", tag))
+    def post_recv_ev(self, dst: int, ctx: int, src: int,
+                     tag: int) -> "tuple | Event":
+        """Post a receive on rank ``dst``; returns what it waits on,
+        which yields the payload: the arrival slot of an eager message
+        already sent, else an event fired when the payload is in."""
+        key = (ctx, src, tag)
         mbox = self.procs[dst].mailbox
-        msg = mbox.match_unexpected_key(ctx, src, tag)
+        msg = mbox.match_unexpected(key)
+        if msg is not None and msg.__class__ is not Message:
+            return msg
+        recv = Event(self.engine, ("recv", "at", dst, "from", src, "tag", tag))
         if msg is None:
-            mbox.add_posted(PostedRecv(ctx, src, tag, event))
-        elif not msg.rendezvous:
-            # the event is fresh (no waiters yet), so firing it is a
-            # plain value store
-            event._value = (msg.payload, msg)
+            mbox.add_posted(key, recv)
         else:
-            self._rendezvous_cts(msg, event)
-        return event
+            msg.recv = recv
+            if msg.arrived:
+                self._rendezvous_cts(msg)
+        return recv
 
-    def _deliver(self, msg: Message) -> None:
-        mbox = self.procs[msg.dst].mailbox
-        pr = mbox.match_posted(msg)
-        if pr is not None:
-            if not msg.rendezvous:
-                pr.event.fire((msg.payload, msg))
-            else:
-                self._rendezvous_cts(msg, pr.event)
-        else:
-            mbox.add_unexpected(msg)
+    def _header_arrives(self, msg: Message) -> None:
+        """Rendezvous header at the receiver: the clear-to-send leaves
+        now if a receive has matched, else when one does."""
+        msg.arrived = True
+        if msg.recv is not None:
+            self._rendezvous_cts(msg)
 
-    def _rendezvous_cts(self, msg: Message, event: Event) -> None:
+    def _rendezvous_cts(self, msg: Message) -> None:
         """Rendezvous match: clear-to-send travels back, then data moves."""
         eng = self.engine
         p = self.network.params
         eng._sched(eng.now + (p.latency + p.send_overhead), _K_CALL1,
-                   self._start_transfer, (msg, event))
+                   self._start_transfer, msg)
 
-    def _start_transfer(self, args: tuple) -> None:
+    def _start_transfer(self, msg: Message) -> None:
         """Rendezvous data phase: runs after the clear-to-send arrives."""
-        msg, event = args
         free, arrival = self.network.transfer(msg.src, msg.dst,
                                               msg.payload.nbytes)
         msg.send_event.fire_at(free)
-        event.fire_at(arrival, (msg.payload, msg))
+        msg.recv.fire_at(arrival, msg.payload)
 
     # ------------------------------------------------------------------
     # communicator derivation
@@ -345,14 +339,14 @@ class Communicator:
               nbytes: Optional[int] = None, _ctx: Optional[int] = None) -> Request:
         payload = self._as_payload(obj, nbytes)
         ctx = self.desc.ctx if _ctx is None else _ctx
-        return Request(self.world.send_message_ev(
+        return Request(self._engine, self.world.send_message_ev(
             self.proc.rank, self.world_rank(dest), ctx, tag, payload))
 
     def irecv(self, source: int, tag: int = 0,
               _ctx: Optional[int] = None) -> Request:
-        """Post a receive; the request's value is ``(payload, message)``."""
+        """Post a receive; the request's value is the payload."""
         ctx = self.desc.ctx if _ctx is None else _ctx
-        return Request(self.world.post_recv_ev(
+        return Request(self._engine, self.world.post_recv_ev(
             self.proc.rank, ctx, self.world_rank(source), tag))
 
     # -- blocking wrappers with accounting --------------------------------
@@ -368,7 +362,7 @@ class Communicator:
              category: str = "exchange") -> Generator[Any, Any, Payload]:
         t0 = self.now
         req = self.irecv(source, tag)
-        payload, _msg = yield req.event
+        payload = yield req.event
         self.proc.breakdown.add(category, self.now - t0)
         return payload
 
@@ -381,18 +375,18 @@ class Communicator:
 
     # -- internal p2p on the collective context ---------------------------
     def _coll_isend(self, obj: Any, dest: int, tag: int,
-                    nbytes: Optional[int] = None) -> Event:
+                    nbytes: Optional[int] = None) -> "tuple | Event":
         """Internal send on the collective context; returns the bare
-        completion event (yield it directly to wait)."""
+        completion slot or event (yield it directly to wait)."""
         payload = obj if isinstance(obj, Payload) else Payload.of(obj, nbytes)
         # collective peers are computed mod size — no range check needed
         return self.world.send_message_ev(
             self.proc.rank, self.desc.members[dest], self._coll_ctx_val, tag,
             payload)
 
-    def _coll_irecv(self, source: int, tag: int) -> Event:
-        """Internal recv post on the collective context; the returned
-        event fires with ``(payload, message)``."""
+    def _coll_irecv(self, source: int, tag: int) -> "tuple | Event":
+        """Internal recv post on the collective context; yielding the
+        returned slot or event gives the payload."""
         return self.world.post_recv_ev(
             self.proc.rank, self._coll_ctx_val, self.desc.members[source], tag)
 

@@ -5,8 +5,10 @@ Hypothesis runs under one of two registered profiles, selected by the
 
 * ``fast`` (default) — few, seeded, deterministic examples; what CI's
   test matrix and local ``pytest`` runs use;
-* ``thorough`` — many examples with no deadline, for the nightly
-  property sweep (``HYPOTHESIS_PROFILE=thorough pytest``).
+* ``thorough`` — many examples with no deadline, for a property sweep
+  (``HYPOTHESIS_PROFILE=thorough pytest``); CI's ``perf-smoke`` job
+  runs the matching, mailbox and engine property modules under it with
+  ``--hypothesis-seed=0``.
 """
 
 import os

@@ -116,23 +116,6 @@ def test_event_double_fire_raises():
         ev.fire(2)
 
 
-def test_event_fire_later():
-    eng = Engine()
-    ev = Event(eng, "delayed")
-
-    def waiter():
-        val = yield WaitEvent(ev)
-        return (eng.now, val)
-
-    def firer():
-        ev.fire_later(5.0, "v")
-        return None
-        yield  # pragma: no cover
-
-    results = eng.run_tasks([waiter(), firer()])
-    assert results[0] == (5.0, "v")
-
-
 def test_unjoined_child_exception_fails_run():
     eng = Engine()
 
@@ -164,14 +147,16 @@ def test_deadlock_detection_names_blocked_tasks():
 
 
 def test_yielding_non_effect_raises():
-    eng = Engine()
+    # a tuple is an effect only as a (time, seq, value) slot
+    for effect in ("not an effect", (1.0, 2), ("a", "b", "c")):
+        eng = Engine()
 
-    def prog():
-        yield "not an effect"
+        def prog():
+            yield effect
 
-    with pytest.raises(SimulationError, match="generator to run as a "
-                                              "subroutine"):
-        eng.run_tasks([prog()])
+        with pytest.raises(SimulationError, match="generator to run as a "
+                                                  "subroutine"):
+            eng.run_tasks([prog()])
 
 
 def test_run_until_pauses_and_resumes():
@@ -377,30 +362,39 @@ def test_deadlock_inside_a_subroutine_names_the_inner_event():
 
 
 
-# -- lazily scheduled fires ---------------------------------------------------
+# -- engine slots ------------------------------------------------------------
 
-def _run_schedule(lazy, fires, waiters, order):
-    """Run one schedule; ``lazy`` fires through ``fire_lazily_at``, else
-    through ``fire_at`` (the eager reference).
+def _run_schedule(use_slots, fires, waiters, order):
+    """Run one schedule; ``use_slots`` wakes through engine slots, else
+    through events fired by ``fire_at`` (the reference).
 
-    ``fires[k] = (s, d)``: event k is scheduled at time ``s`` to fire at
-    ``s + d``.  ``waiters[i]`` is a list of ``(dt, via_deque, k, how)``
-    ops: sleep ``dt`` (a heap-stage wake), optionally yield once more at
-    the same time (a deque-stage resumption), then wait on or read
-    event k.  Returns the resume log, the effect count and the heap
-    pushes.
+    ``fires[k] = (s, d)``: wake k is reserved at time ``s`` for
+    ``s + d``.  A slot has one waiter, so only waiter ``k % len(waiters)``
+    waits on wake k; the others read it.  ``waiters[i]`` is a list of
+    ``(dt, via_deque, k, how)`` ops: sleep ``dt`` (a heap-stage wake),
+    optionally yield once more at the same time (a deque-stage
+    resumption), then wait on or read wake k.  A wait on a wake not yet
+    reserved waits on an event that the reservation fires at its slot,
+    as a receive posted before its send does.  Returns the resume log,
+    the effect count and the heap pushes.
     """
     eng = Engine()
     events = [Event(eng, ("e", k)) for k in range(len(fires))]
+    #: slot mode: k -> the reserved slot, or the event a wait posted
+    #: before the reservation
+    held = {}
     log = []
 
     def firer(k, s, d):
         if s:
             yield Sleep(s)
-        if lazy:
-            events[k].fire_lazily_at(eng.now + d)
+        value = ("v", k)
+        if not use_slots:
+            events[k].fire_at(eng.now + d, value)
+        elif k in held:
+            held[k].fire_at(eng.now + d, value)
         else:
-            events[k].fire_at(eng.now + d)
+            held[k] = eng.slot(eng.now + d, value)
 
     def waiter(i, ops):
         for dt, via_deque, k, how in ops:
@@ -408,18 +402,21 @@ def _run_schedule(lazy, fires, waiters, order):
                 yield Sleep(dt)
             if via_deque:
                 yield Sleep(0.0)
-            ev = events[k % len(events)]
-            if how == "event":
-                got = yield ev
-            elif how == "wait":
-                got = yield WaitEvent(ev)
+            k %= len(fires)
+            if how in ("event", "wait") and k % len(waiters) != i:
+                how = "fired"
+            w = held.get(k) if use_slots else events[k]
+            if how in ("event", "wait"):
+                if w is None:
+                    w = held[k] = Event(eng, ("posted", k))
+                got = yield (WaitEvent(w) if how == "wait" and
+                             isinstance(w, Event) else w)
             elif how == "fired":
-                got = ev.fired
+                got = w is not None and eng.passed(w)
+            elif w is not None and eng.passed(w):
+                got = w.value if isinstance(w, Event) else w[2]
             else:
-                try:
-                    got = ev.value
-                except SimulationError:
-                    got = "unfired"
+                got = "unfired"
             log.append((i, eng.now, how, got))
 
     tasks = ([firer(k, s, d) for k, (s, d) in enumerate(fires)]
@@ -446,7 +443,14 @@ _OPS = st.lists(st.tuples(_TIMES, st.booleans(), st.integers(0, 3),
          perm=range(9))
 @example(fires=[(0.0, 1.0)], waiters=[[(1.0, False, 0, "fired")]],
          perm=[1, 0])
+# a wait that comes before the reservation, and a same-time wake
+@example(fires=[(1.0, 1.0)], waiters=[[(0.0, False, 0, "event")]],
+         perm=range(9))
+@example(fires=[(1.0, 0.0)], waiters=[[(1.0, True, 0, "wait")]],
+         perm=range(9))
 def test_lazy_fire_resumes_exactly_like_fire_at(fires, waiters, perm):
+    """A task that yields a slot resumes at the same time, and in the
+    same order, as one that waits on an event fired at that slot."""
     # the spawn order: tasks are numbered firers first, then waiters
     order = [j for j in perm if j < len(fires) + len(waiters)]
     ref_log, ref_effects, ref_pushes = _run_schedule(False, fires, waiters,
@@ -467,14 +471,20 @@ def test_lazy_tuple_task_and_event_names():
         yield from ()
         return "ok"
 
+    def slot_waiter(slot):
+        yield slot
+
     def prog():
         task = eng.spawn(child(), ("write", 3))
         seen["name"] = task.name
         ev = Event(eng, ("send-free", 1, 0))
         ev.fire("v")
         seen["event"] = _label(ev.name)
-        yield from ()
+        waiter = eng.spawn(slot_waiter(eng.slot(2.5)), ("recv", 7))
+        yield Sleep(1.0)
+        seen["waiter"] = waiter.describe()
 
     eng.run_tasks([prog()])
     assert seen["name"] == "write:3"
     assert seen["event"] == "send-free:1:0"
+    assert seen["waiter"] == "recv:7: sleeping until t=2.5"

@@ -303,3 +303,97 @@ def test_request_complete_turns_true_at_its_slot():
     w.launch(program)
     assert seen == [("issued", False), ("before", False),
                     ("earlier slot", False), ("later slot", True)]
+
+
+def test_eager_message_received_after_arrival_costs_no_heap_push():
+    # the receive is posted after the message has arrived: yielding its
+    # passed arrival slot returns the payload at once, so the sleep is
+    # the run's only heap entry
+    w = make_world(nprocs=4)
+    got = {}
+
+    def program(comm):
+        if comm.rank == 0:
+            comm.isend(b"x", dest=2, nbytes=8)
+        elif comm.rank == 2:
+            yield from comm.proc.compute(1e-3)
+            got["data"] = (yield from comm.recv(source=0)).data
+            got["t"] = comm.now
+        if False:
+            yield
+
+    w.launch(program)
+    assert got == {"data": b"x", "t": 1e-3}
+    assert w.engine.heap_pushes == 1
+
+
+def test_on_node_messages_do_not_overtake():
+    # MPI non-overtaking: a later, shorter message to a peer on the same
+    # node arrives first, but the first receive still gets the first
+    # message, and completes only when that one has arrived
+    w = World(MachineConfig(nprocs=2, cores_per_node=2))
+    got = []
+
+    def program(comm):
+        if comm.rank == 0:
+            reqs = [comm.isend(Payload.model(60_000), dest=1, tag=7),
+                    comm.isend(Payload.model(8), dest=1, tag=7)]
+            yield from comm.waitall(reqs)
+        else:
+            for _ in range(2):
+                payload = yield from comm.recv(source=0, tag=7)
+                got.append((payload.nbytes, comm.now))
+
+    w.launch(program)
+    p = w.network.params
+    first = p.send_overhead + 60_000 / p.memcpy_bandwidth
+    assert w.network.cross_node_messages == 0
+    assert got == [(60_000, pytest.approx(first)), (8, pytest.approx(first))]
+
+
+def test_same_time_slots_keep_their_own_seqs():
+    # on one node an 8 B message completes and arrives at one instant,
+    # so the second send's completion and the first message's arrival
+    # share a time; each takes a seq of its own, so the two waits
+    # pushed before that instant are distinct heap entries
+    w = World(MachineConfig(nprocs=2, cores_per_node=2))
+    out = {}
+
+    def program(comm):
+        if comm.rank == 0:
+            comm.isend(Payload.model(8), dest=1, tag=1)
+            yield from comm.isend(Payload.model(8), dest=1, tag=1).wait()
+            out["sent"] = comm.now
+        else:
+            for i in range(2):
+                yield from comm.recv(source=0, tag=1)
+                out[i] = comm.now
+
+    w.launch(program)
+    p = w.network.params
+    t = p.send_overhead + 8 / p.memcpy_bandwidth
+    assert out == {"sent": t, 0: t, 1: t}
+
+
+def test_unawaited_eager_messages_do_not_advance_the_clock():
+    # an eager message that no task waits for (never received, or
+    # received by a request nobody waits on) pushes no heap entry, so
+    # the run ends when its last task does, before either arrival
+    w = make_world(nprocs=4)
+    reqs = {}
+
+    def program(comm):
+        if comm.rank == 0:
+            comm.isend(b"x", dest=2, tag=1, nbytes=8)
+            comm.isend(b"y", dest=3, tag=2, nbytes=8)
+        elif comm.rank == 3:
+            reqs["recv"] = comm.irecv(source=0, tag=2)
+        if False:
+            yield
+
+    w.launch(program)
+    arrival, _, payload = w.procs[2].mailbox.unexpected[(0, 0, 1)]
+    assert payload.data == b"x"
+    assert w.engine.now == 0.0 < arrival < reqs["recv"].event[0]
+    assert w.engine.heap_pushes == 0
+    assert not reqs["recv"].complete

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.cluster import MachineConfig, NetworkParams
 from repro.sim import Engine, Event
 from repro.simmpi import Payload, World
-from repro.simmpi.p2p import Mailbox, Message, PostedRecv, RTS_BYTES
+from repro.simmpi.p2p import Mailbox, RTS_BYTES
 
 
 def make_world(threshold, nprocs=4):
@@ -80,7 +80,7 @@ class TestRequestStates:
                 r2 = comm.irecv(source=2)
                 r1 = comm.irecv(source=1)
                 vals = yield from comm.waitall([r2, r1])
-                got["vals"] = [payload.data for payload, _ in vals]
+                got["vals"] = [payload.data for payload in vals]
             else:
                 yield from comm.proc.compute(0.1 * comm.rank)
                 yield from comm.send(f"from{comm.rank}", dest=0)
@@ -89,63 +89,66 @@ class TestRequestStates:
         assert got["vals"] == ["from2", "from1"]
 
 
-class TestMailbox:
-    def msg(self, ctx=0, src=1, tag=5):
-        return Message(ctx, src, 0, tag, Payload.model(4), False, None)
+def _early_message(seq=1):
+    """What an eager message sent before its receive waits on its key
+    as: its arrival slot, carrying the payload."""
+    return (1.0, seq, Payload.model(4))
 
-    def pr(self, ctx=0, src=1, tag=5):
-        return PostedRecv(ctx, src, tag, Event(Engine(), "e"))
+
+class TestMailbox:
+    def recv(self):
+        return Event(Engine(), "e")
 
     def test_match_posted_in_post_order(self):
         mb = Mailbox()
-        a, b = self.pr(tag=5), self.pr(tag=5)
-        mb.add_posted(a)
-        mb.add_posted(b)
-        matched = mb.match_posted(self.msg(tag=5))
+        a, b = self.recv(), self.recv()
+        mb.add_posted((0, 1, 5), a)
+        mb.add_posted((0, 1, 5), b)
+        matched = mb.match_posted((0, 1, 5))
         assert matched is a  # first posted wins
 
     def test_context_isolation(self):
         mb = Mailbox()
-        mb.add_posted(self.pr(ctx=1))
-        assert mb.match_posted(self.msg(ctx=0)) is None
+        mb.add_posted((1, 1, 5), self.recv())
+        assert mb.match_posted((0, 1, 5)) is None
 
     def test_unexpected_in_arrival_order(self):
+        # messages match in send order, which is the order they join
+        # their key's queue, whenever each arrives
         mb = Mailbox()
-        m1, m2 = self.msg(tag=7), self.msg(tag=7)
-        mb.add_unexpected(m1)
-        mb.add_unexpected(m2)
-        got = mb.match_unexpected_key(0, 1, 7)
+        m1, m2 = _early_message(1), _early_message(2)
+        mb.add_unexpected((0, 1, 7), m1)
+        mb.add_unexpected((0, 1, 7), m2)
+        got = mb.match_unexpected((0, 1, 7))
         assert got is m1
-
-    def test_describe(self):
-        mb = Mailbox()
-        mb.add_posted(self.pr())
-        assert "1 posted" in mb.describe()
 
 
 class ReferenceMailbox:
     """MPI matching by linear scan over one ordered list per queue."""
 
     def __init__(self):
-        self.posted: list[PostedRecv] = []
-        self.unexpected: list[Message] = []
+        self.posted: list[tuple] = []
+        self.unexpected: list[tuple] = []
         self.exact_matches = 0
 
-    def match_posted(self, msg):
-        for i, pr in enumerate(self.posted):
-            if (pr.ctx, pr.src, pr.tag) == (msg.ctx, msg.src, msg.tag):
-                del self.posted[i]
+    def _take(self, queue, key):
+        for i, (k, item) in enumerate(queue):
+            if k == key:
+                del queue[i]
                 self.exact_matches += 1
-                return pr
+                return item
         return None
 
-    def match_unexpected_key(self, ctx, src, tag):
-        for i, msg in enumerate(self.unexpected):
-            if (msg.ctx, msg.src, msg.tag) == (ctx, src, tag):
-                del self.unexpected[i]
-                self.exact_matches += 1
-                return msg
-        return None
+    def match_posted(self, key):
+        return self._take(self.posted, key)
+
+    def match_unexpected(self, key):
+        return self._take(self.unexpected, key)
+
+
+def _queued(queues) -> int:
+    return sum(len(v) if isinstance(v, deque) else 1
+               for v in queues.values())
 
 
 # 2 contexts x 3 sources x 2 tags
@@ -153,33 +156,33 @@ _ctx = st.integers(0, 1)
 _src = st.integers(0, 2)
 _tag = st.integers(0, 1)
 mailbox_ops = st.lists(st.tuples(
-    st.sampled_from(["post", "arrive", "match_posted", "match_unexpected"]),
+    st.sampled_from(["post", "send", "match_posted", "match_unexpected"]),
     _ctx, _src, _tag), max_size=80)
 
 
 @settings(max_examples=200)
 @given(mailbox_ops)
 def test_mailbox_matches_linear_scan_reference(ops):
-    """Same matched objects and counters as MPI's linear-scan rules."""
+    """Same matched objects and counters as MPI's linear-scan rules:
+    receives in post order, messages in send order."""
     engine = Engine()
     mb, ref = Mailbox(), ReferenceMailbox()
     for op, ctx, src, tag in ops:
+        key = (ctx, src, tag)
         if op == "post":
-            pr = PostedRecv(ctx, src, tag, Event(engine, "e"))
-            mb.add_posted(pr)
-            ref.posted.append(pr)
-        elif op == "arrive":
-            msg = Message(ctx, src, 0, tag, Payload.model(4), False, None)
-            mb.add_unexpected(msg)
-            ref.unexpected.append(msg)
+            recv = Event(engine, "e")
+            mb.add_posted(key, recv)
+            ref.posted.append((key, recv))
+        elif op == "send":
+            msg = _early_message(len(ref.unexpected))
+            mb.add_unexpected(key, msg)
+            ref.unexpected.append((key, msg))
         elif op == "match_posted":
-            probe = Message(ctx, src, 0, tag, Payload.model(4), False, None)
-            assert mb.match_posted(probe) is ref.match_posted(probe)
+            assert mb.match_posted(key) is ref.match_posted(key)
         else:
-            assert (mb.match_unexpected_key(ctx, src, tag)
-                    is ref.match_unexpected_key(ctx, src, tag))
-        assert mb.n_posted == len(ref.posted)
-        assert mb.n_unexpected == len(ref.unexpected)
+            assert mb.match_unexpected(key) is ref.match_unexpected(key)
+        assert _queued(mb.posted) == len(ref.posted)
+        assert _queued(mb.unexpected) == len(ref.unexpected)
         assert mb.exact_matches == ref.exact_matches
 
 
@@ -190,40 +193,41 @@ class TestMailboxSlots:
     def test_posted_slot_grows_to_deque_and_empties(self):
         engine = Engine()
         mb = Mailbox()
-        prs = [PostedRecv(0, 1, 5, Event(engine, "e")) for _ in range(3)]
-        mb.add_posted(prs[0])
-        assert mb.posted_exact[(0, 1, 5)] is prs[0]
-        mb.add_posted(prs[1])
-        mb.add_posted(prs[2])
-        assert list(mb.posted_exact[(0, 1, 5)]) == prs
-        msg = Message(0, 1, 0, 5, Payload.model(4), False, None)
-        assert [mb.match_posted(msg) for _ in range(3)] == prs
-        assert mb.posted_exact == {}
-        assert mb.match_posted(msg) is None
+        recvs = [Event(engine, "e") for _ in range(3)]
+        mb.add_posted((0, 1, 5), recvs[0])
+        assert mb.posted[(0, 1, 5)] is recvs[0]
+        mb.add_posted((0, 1, 5), recvs[1])
+        mb.add_posted((0, 1, 5), recvs[2])
+        assert list(mb.posted[(0, 1, 5)]) == recvs
+        assert [mb.match_posted((0, 1, 5)) for _ in range(3)] == recvs
+        assert mb.posted == {}
+        assert mb.match_posted((0, 1, 5)) is None
 
     def test_unexpected_slot_grows_to_deque_and_empties(self):
         mb = Mailbox()
-        msgs = [Message(0, 1, 0, 5, Payload.model(4), False, None)
-                for _ in range(3)]
-        mb.add_unexpected(msgs[0])
-        assert mb.unexpected_by_key[(0, 1, 5)] is msgs[0]
-        mb.add_unexpected(msgs[1])
-        assert isinstance(mb.unexpected_by_key[(0, 1, 5)], deque)
-        mb.add_unexpected(msgs[2])
-        got = [mb.match_unexpected_key(0, 1, 5),
-               mb.match_unexpected_key(0, 1, 5),
-               mb.match_unexpected_key(0, 1, 5)]
+        msgs = [_early_message(i) for i in range(3)]
+        mb.add_unexpected((0, 1, 5), msgs[0])
+        assert mb.unexpected[(0, 1, 5)] is msgs[0]
+        mb.add_unexpected((0, 1, 5), msgs[1])
+        assert isinstance(mb.unexpected[(0, 1, 5)], deque)
+        mb.add_unexpected((0, 1, 5), msgs[2])
+        got = [mb.match_unexpected((0, 1, 5)),
+               mb.match_unexpected((0, 1, 5)),
+               mb.match_unexpected((0, 1, 5))]
         assert got == msgs
-        assert mb.unexpected_by_key == {}
+        assert all(a is b for a, b in zip(got, msgs))
+        assert mb.unexpected == {}
 
 
 def _bytes_per_add(add, items) -> float:
-    """Traced bytes the mailbox keeps per ``add(item)``."""
+    """Traced bytes the mailbox keeps per ``add(tag, item)``; the key
+    tuple is built inside the measured loop, as a send or receive
+    builds it."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for item in items:
-            add(item)
+        for tag, item in items:
+            add((0, 1, tag), item)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -238,15 +242,13 @@ class TestMailboxMemory:
     def test_posted_receive_on_fresh_key(self):
         engine = Engine()
         mb = Mailbox()
-        prs = [PostedRecv(0, 1, 1000 + i, Event(engine, "e"))
-               for i in range(self.N)]
-        per = _bytes_per_add(mb.add_posted, prs)
+        recvs = [(1000 + i, Event(engine, "e")) for i in range(self.N)]
+        per = _bytes_per_add(mb.add_posted, recvs)
         assert per < 200, f"{per:.0f} B per posted receive"
 
     def test_early_message_on_fresh_key(self):
         mb = Mailbox()
-        msgs = [Message(0, 1, 0, 1000 + i, Payload.model(4), False, None)
-                for i in range(self.N)]
+        msgs = [(1000 + i, _early_message(i)) for i in range(self.N)]
         per = _bytes_per_add(mb.add_unexpected, msgs)
         assert per < 250, f"{per:.0f} B per early message"
 
