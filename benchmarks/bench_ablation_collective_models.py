@@ -1,18 +1,11 @@
-"""Ablation A: detailed vs analytic vs hybrid collective timing models.
+"""Ablation A: detailed vs analytic collective timing models.
 
-The large-scale sweeps use the analytic (LogP-style) collective model or
-the per-category ``hybrid`` backend; this ablation validates both against
-the detailed model (real message schedules) on a workload all three can
-afford, and reports the event-count saving that justifies the cheaper
-backends at scale.
-
-The hybrid spec defaults to the large-sweep configuration
-(``sync`` analytic, everything else detailed) and can be overridden with
-``REPRO_HYBRID_SPEC=hybrid:<spec>`` — the benchmark-side face of the CLI's
-``--collective-mode`` axis.
+The large-scale sweeps use the analytic (LogP-style) collective model;
+this ablation validates it against the detailed model (real message
+schedules) on a workload both can afford, and reports the event-count
+saving that justifies the cheaper backend at scale.
 """
 
-import os
 from functools import partial
 
 from _common import record, run_once
@@ -25,26 +18,20 @@ from repro.workloads import TileIOConfig, tile_io_program
 LUSTRE = {"n_osts": 16, "default_stripe_count": 16}
 
 
-def hybrid_spec() -> str:
-    return os.environ.get("REPRO_HYBRID_SPEC",
-                          "hybrid:sync=analytic,default=detailed")
-
-
 def compare_models(nprocs: int = 32) -> FigureResult:
     rows = []
     series = {}
-    for mode in ("analytic", hybrid_spec(), "detailed"):
+    for mode in ("analytic", "detailed"):
         cfg = ExperimentConfig(nprocs=nprocs, collective_mode=mode,
                                lustre=LUSTRE)
         wl = TileIOConfig(tile_rows=256, tile_cols=192, element_size=64,
                           hints={"protocol": "ext2ph"})
         res = run_experiment(cfg, partial(tile_io_program, wl))
         bw = mb_per_s(res.write_bandwidth)
-        key = mode.split(":", 1)[0]
-        series[key] = {"bw": bw, "events": res.events,
-                       "sync": res.breakdown["sync"]["max"],
-                       "backend": res.backend}
-        rows.append([key, round(bw, 0),
+        series[mode] = {"bw": bw, "events": res.events,
+                        "sync": res.breakdown["sync"]["max"],
+                        "backend": res.backend}
+        rows.append([mode, round(bw, 0),
                      round(res.breakdown["sync"]["max"], 4), res.events])
     return FigureResult(
         figure="Ablation A",
@@ -52,8 +39,8 @@ def compare_models(nprocs: int = 32) -> FigureResult:
         headers=["model", "write MB/s", "sync max (s)", "engine events"],
         rows=rows,
         series=series,
-        notes="analytic and hybrid must track detailed closely at a "
-              "fraction of the cost",
+        notes="analytic must track detailed closely at a fraction of the "
+              "cost",
     )
 
 
@@ -61,11 +48,8 @@ def test_ablation_collective_models(benchmark):
     result = run_once(benchmark, compare_models)
     record(result)
     a = result.series["analytic"]
-    h = result.series["hybrid"]
     d = result.series["detailed"]
     # bandwidths agree within 2x in either direction
     assert 0.5 < a["bw"] / d["bw"] < 2.0
-    assert 0.5 < h["bw"] / d["bw"] < 2.0
-    # and the cheaper backends really are cheaper to simulate
+    # and the cheaper backend really is cheaper to simulate
     assert a["events"] < d["events"]
-    assert a["events"] <= h["events"] <= d["events"]

@@ -1,9 +1,9 @@
 """Wall-clock cost of the collective-fidelity backends (fig-9-style sweep).
 
 Runs the same tile-IO collective-write experiment through the
-``detailed``, ``analytic``, and ``hybrid`` backends at growing rank
-counts and records *host* wall-clock per run — the point of the cheaper
-backends is simulator speed, not simulated time.  Results land in the
+``detailed`` and ``analytic`` backends at growing rank counts and
+records *host* wall-clock per run — the point of the cheaper backend is
+simulator speed, not simulated time.  Results land in the
 stamped ``full`` entry of ``BENCH_backend_fastpath.json`` at the repo
 root.
 
@@ -13,7 +13,7 @@ Run directly (not under pytest)::
 
 The rank ladder stops growing once the slowest backend (detailed)
 exceeds the time budget, so the sweep always finishes quickly; the JSON
-records the largest rank count where all three backends completed.
+records the largest rank count where both backends completed.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.harness.runner import ExperimentConfig, run_experiment
 from repro.harness.report import mb_per_s
 from repro.workloads import TileIOConfig, tile_io_program
 
-MODES = ("detailed", "analytic", "hybrid:sync=analytic,default=detailed")
+MODES = ("detailed", "analytic")
 RANKS = (32, 64, 128, 256)
 BUDGET_S = 60.0  # per-run ceiling for the slowest backend
 OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_backend_fastpath.json"
@@ -56,10 +56,9 @@ def main() -> int:
     for p in RANKS:
         point = {"nprocs": p, "modes": {}}
         for mode in MODES:
-            key = mode.split(":", 1)[0]
             r = run_point(p, mode)
-            point["modes"][key] = r
-            print(f"p={p:4d} {key:>8}: {r['wall_s']:7.3f}s wall, "
+            point["modes"][mode] = r
+            print(f"p={p:4d} {mode:>8}: {r['wall_s']:7.3f}s wall, "
                   f"{r['engine_events']:>8} events, "
                   f"{r['sim_write_mb_s']:8.1f} sim MB/s")
         sweep.append(point)
@@ -68,8 +67,7 @@ def main() -> int:
             break
 
     top = sweep[-1]["modes"]
-    ok = (top["analytic"]["wall_s"] < top["detailed"]["wall_s"]
-          and top["hybrid"]["wall_s"] < top["detailed"]["wall_s"])
+    ok = top["analytic"]["wall_s"] < top["detailed"]["wall_s"]
     out = {
         "workload": "tile-IO collective write, ext2ph, 256x192 tiles x64B",
         "budget_s": BUDGET_S,
@@ -80,13 +78,12 @@ def main() -> int:
     write_mode_result(OUT, "backend_fastpath", "full", out)
     print(f"\nwrote the full entry of {OUT}")
     if not ok:
-        print("FAIL: analytic/hybrid not faster than detailed at top rank "
-              "count", file=sys.stderr)
+        print("FAIL: analytic not faster than detailed at top rank count",
+              file=sys.stderr)
         return 1
-    speedup_a = top["detailed"]["wall_s"] / top["analytic"]["wall_s"]
-    speedup_h = top["detailed"]["wall_s"] / top["hybrid"]["wall_s"]
-    print(f"at p={sweep[-1]['nprocs']}: analytic {speedup_a:.1f}x, "
-          f"hybrid {speedup_h:.1f}x faster than detailed")
+    speedup = top["detailed"]["wall_s"] / top["analytic"]["wall_s"]
+    print(f"at p={sweep[-1]['nprocs']}: analytic {speedup:.1f}x faster "
+          f"than detailed")
     return 0
 
 

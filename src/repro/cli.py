@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.cli figure 7 [--scale paper] [-j 4]
-    python -m repro.cli figure 9 --collective-mode hybrid:sync=analytic
+    python -m repro.cli figure 9 --collective-mode scoped:world=analytic
     python -m repro.cli figures -j 4        # all of them, 4 workers
     python -m repro.cli backends            # collective-fidelity backends
     python -m repro.cli protocols           # collective-I/O protocols
@@ -24,7 +24,7 @@ environment variables set the defaults (see
 :mod:`repro.harness.parallel`).
 
 ``--collective-mode`` selects the collective-fidelity backend
-('analytic', 'detailed', 'macro', 'hybrid[:<cat>=<fidelity>,...]' or
+('analytic', 'detailed', 'macro' or
 'scoped[:world=<fidelity>,default=<fidelity>]') for the figures whose
 sweeps support it; see :mod:`repro.simmpi.backends`.
 
@@ -246,8 +246,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="also render a terminal chart of the series")
     p_fig.add_argument("--collective-mode", default=None, metavar="SPEC",
                        help="collective-fidelity backend for the sweep "
-                            "(analytic, detailed, macro, hybrid[:<spec>], "
-                            "scoped[:<spec>])")
+                            "(analytic, detailed, macro, scoped[:<spec>])")
     _add_parallel_flags(p_fig)
 
     p_all = sub.add_parser("figures", help="regenerate every figure")

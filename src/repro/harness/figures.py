@@ -299,9 +299,9 @@ def fig09_scalability(procs: Sequence[int] = (32, 64, 128, 256),
     couple of group-count candidates (around P/32 and P/16 — staying at
     or below the tile grid's row count keeps the partition direct) and
     keep the winner.  ``collective_mode`` selects the fidelity backend
-    ('analytic', 'detailed', 'macro', 'hybrid[:<spec>]' or
-    'scoped[:<spec>]'); the analytic/hybrid backends are what make the
-    large-rank end of this sweep affordable.
+    ('analytic', 'detailed', 'macro' or 'scoped[:<spec>]'); analytic
+    collectives are what make the large-rank end of this sweep
+    affordable.
     The whole (process count x variant) grid evaluates as one executor
     batch — with ``jobs=N`` the candidates run concurrently.
     """

@@ -25,11 +25,9 @@ class ExperimentConfig:
 
     ``collective_mode`` is a collective-fidelity backend spec
     (:mod:`repro.simmpi.backends`): ``analytic``, ``detailed``,
-    ``macro``, ``hybrid[:<category>=<fidelity>,...]`` for per-category
-    selection — the large-rank sweep configuration is
-    ``hybrid:sync=analytic,default=detailed`` — or
-    ``scoped[:world=<fidelity>,default=<fidelity>]`` for
-    communicator-scope selection.
+    ``macro``, or ``scoped[:world=<fidelity>,default=<fidelity>]`` for
+    one fidelity on the world communicator and another on every
+    communicator derived from it.
 
     ``faults`` is a :class:`~repro.faults.FaultPlan` (or its ``to_dict``
     mapping / event tuple); an empty plan is the default and leaves the

@@ -156,11 +156,9 @@ class MPIFile:
     def __init__(self, io: MPIIO, comm: Communicator, shared: _SharedFile,
                  hints: IOHints):
         self.io = io
-        #: the communicator the file was opened on (no backend override)
-        self._caller_comm = comm
+        self.comm = comm
         self.shared = shared
         self.hints = hints
-        self.comm = self._hinted_comm()
         self.view = FileView(0, BYTE, BYTE)
         self._fp = 0  # individual file pointer, in etype units
         self._coll_seq = 0  # collective-op counter (protocol symmetry)
@@ -168,14 +166,6 @@ class MPIFile:
         self._closed = False
         #: active correctness oracle for this file (None = off)
         self._validator = io.validator
-
-    def _hinted_comm(self) -> Communicator:
-        """The file's working communicator: the caller's, with the
-        ``collective_mode`` hint installed as a backend override.  All
-        ranks open with the same hints, so overrides stay symmetric."""
-        if self.hints.collective_mode is None:
-            return self._caller_comm
-        return self._caller_comm.with_backend(self.hints.collective_mode)
 
     # ------------------------------------------------------------------
     @property
@@ -201,13 +191,11 @@ class MPIFile:
         rank.  Changing any hint drops the per-protocol shared state:
         every hint shapes some cached state (a ParColl partition plan,
         the subgroup or leader communicators split from the file's
-        communicator and its ``collective_mode`` backend), and state
-        cached under the old hints must not leak into the new epoch.
+        communicator), and state cached under the old hints must not
+        leak into the new epoch.
         """
         old = self.hints
         self.hints = old.with_(**kwargs)
-        if "collective_mode" in kwargs:
-            self.comm = self._hinted_comm()
         if self.hints != old:
             self.shared.invalidate_state()
 
@@ -219,11 +207,10 @@ class MPIFile:
         """The protocol's ``(write, read)`` pair and its shared-state
         slot for one collective op.
 
-        Mirrors the backend fidelity-symmetry check: each rank logs the
-        protocol it uses for its n-th collective op in a shared ledger;
-        the first divergence raises :class:`ParCollError` on the rank
-        that exposes it.  Entries clear once every rank arrived, so the
-        ledger stays O(in-flight ops).
+        Each rank logs the protocol it uses for its n-th collective op
+        in a shared ledger; the first divergence raises
+        :class:`ParCollError` on the rank that exposes it.  Entries clear
+        once every rank arrived, so the ledger stays O(in-flight ops).
         """
         name = self.hints.protocol
         ledger = self.shared.protocol_ops

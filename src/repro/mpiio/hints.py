@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional
 
-from repro.errors import MPIError, MPIIOError
+from repro.errors import MPIIOError
 
 
 @dataclass(frozen=True)
@@ -51,23 +51,10 @@ class IOHints:
     #: allreduce per call, so subgroups re-synchronize like 'always' but
     #: skip the extent allgather and regrouping while the pattern holds
     parcoll_replan: str = "once"
-    #: collective-fidelity backend spec for this file's collectives
-    #: ('analytic', 'detailed', 'macro', 'hybrid[:<spec>]',
-    #: 'scoped[:<spec>]'; see :mod:`repro.simmpi.backends`); None
-    #: inherits the world's backend.  Every rank opens with the same
-    #: hints, so the override is installed symmetrically.
-    collective_mode: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.cb_buffer_size <= 0:
             raise MPIIOError("cb_buffer_size must be positive")
-        if self.collective_mode is not None:
-            from repro.simmpi.backends import resolve_backend
-
-            try:
-                resolve_backend(self.collective_mode)
-            except MPIError as exc:
-                raise MPIIOError(str(exc)) from exc
         if self.cb_nodes is not None and self.cb_nodes <= 0:
             raise MPIIOError("cb_nodes must be positive")
         from repro.mpiio.file import PROTOCOLS

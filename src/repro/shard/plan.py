@@ -28,10 +28,10 @@ The contract:
   the ranks per shard), so NIC/CPU :class:`FIFOResource` state is never
   shared across shards;
 * every world-spanning collective runs at the ``analytic`` fidelity
-  (e.g. the ``analytic`` backend, ``scoped`` with ``world=analytic``, or
-  ``hybrid:default=analytic``), because only analytic synchronization
-  sites can be bridged across engines by merging (value, arrival) sets —
-  per-message detailed traffic cannot.
+  (the ``analytic`` backend, or ``scoped`` with ``world=analytic``),
+  because only analytic synchronization sites can be bridged across
+  engines by merging (value, arrival) sets — per-message detailed
+  traffic cannot.
 
 Shared-OST reservations, the MDS, Lustre lock-manager state and fault
 RPC schedules remain machine-global; the coordinator owns the one real
@@ -140,13 +140,12 @@ def analyze(config: Any, workload_hints: Optional[Mapping[str, Any]] = None
         return fallback(
             f"shard boundary splits a node ({ranks_per_shard} ranks per "
             f"shard, {config.cores_per_node} cores per node)")
-    world = resolve_backend(config.collective_mode).world_fidelities()
-    if world != {"analytic"}:
+    world = resolve_backend(config.collective_mode).world
+    if world != "analytic":
         return fallback(
             f"collective_mode {config.collective_mode!r} runs "
-            f"world-spanning collectives {'/'.join(sorted(world))}; "
-            "bridging needs them all 'analytic' (e.g. 'analytic' or "
-            "'scoped:world=analytic,...')")
+            f"world-spanning collectives {world}; bridging needs them "
+            "'analytic' (e.g. 'analytic' or 'scoped:world=analytic,...')")
     return ShardPlan(shards=shards, effective=shards,
                      groups_per_shard=ngroups // shards,
                      ranks_per_shard=ranks_per_shard)

@@ -16,13 +16,11 @@ allgather(v), alltoall(v), split) behind collective-fidelity backends
 * ``macro`` — the synchronizing collectives (all but ``gather``) replay
   their detailed message schedule in closed form: the same virtual time,
   far fewer events;
-* ``hybrid`` — per-category fidelity selection
-  (``hybrid:sync=analytic,default=detailed``).  The category is the one
-  a collective is charged to; every collective the I/O protocols call is
-  charged to ``sync``, so there the default table runs exactly as
-  ``analytic``;
 * ``scoped`` — one fidelity for world-communicator collectives, another
-  for subgroup ones (``scoped:world=analytic,default=macro``).
+  for those on every derived communicator
+  (``scoped:world=analytic,default=macro``).
+
+Each communicator's fidelity is fixed when it is created.
 
 Point-to-point traffic (the two-phase data exchange included) is
 simulated per message under every backend.

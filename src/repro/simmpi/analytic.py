@@ -1,13 +1,12 @@
 """LogP-style analytic cost model for collective operations.
 
-Used by the ``analytic`` collective backend (and by ``hybrid`` for the
-categories it maps to it): a collective becomes a synchronization site
-whose exit time is ``max(entry times) + cost(op, p, sizes)``.  The
-formulas follow the standard algorithms MPICH/ROMIO uses (dissemination,
-recursive doubling, binomial gather, ring and pairwise exchange), so
-detailed and analytic modes
-agree to first order — an agreement that tests and an ablation benchmark
-check explicitly.
+Used by every communicator whose collectives run at the ``analytic``
+fidelity (see :mod:`repro.simmpi.backends`): a collective becomes a
+synchronization site whose exit time is ``max(entry times) + cost(op, p,
+sizes)``.  The formulas follow the standard algorithms MPICH/ROMIO uses
+(dissemination, recursive doubling, binomial gather, ring and pairwise
+exchange), so detailed and analytic modes agree to first order — an
+agreement that tests and an ablation benchmark check explicitly.
 
 Notation: ``p`` group size, ``o`` per-message overhead (send+recv), ``L``
 wire latency, ``G`` seconds/byte.

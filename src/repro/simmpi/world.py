@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.cluster.machine import Machine, MachineConfig
 from repro.cluster.network import NetworkModel, NetworkParams
-from repro.errors import MPIError, ParCollError, TaskFailedError
+from repro.errors import MPIError, TaskFailedError
 from repro.sim.effects import Sleep, WaitEvent
 from repro.sim.engine import _K_CALL1, _K_FIRE, Engine, Event
 from repro.simmpi import analytic, collectives_detailed as detailed
@@ -55,19 +55,20 @@ class Proc:
 class CommDescriptor:
     """State shared by every rank's handle on one communicator."""
 
-    __slots__ = ("ctx", "members", "rank_of", "sites", "fidelities",
+    __slots__ = ("ctx", "members", "rank_of", "fidelity", "sites",
                  "node_cache", "shared")
 
-    def __init__(self, ctx: int, members: list[int]):
+    def __init__(self, ctx: int, members: list[int], fidelity: str):
         self.ctx = ctx
         #: world ranks of the group, in group-rank order
         self.members = list(members)
         self.rank_of = {wr: i for i, wr in enumerate(self.members)}
+        #: the path ('analytic', 'detailed' or 'macro') every collective
+        #: on this communicator takes; a single rank's collectives are
+        #: immediate and send nothing, so they stay analytic
+        self.fidelity = fidelity if len(self.members) > 1 else "analytic"
         #: analytic collective sites keyed by op sequence number
         self.sites: dict[int, "_Site"] = {}
-        #: per-op fidelity ledger for the backend symmetry check:
-        #: op seq -> [fidelity, category, first group rank, arrivals]
-        self.fidelities: dict[int, list] = {}
         #: node -> (leader, members) cache for the nodeagg protocol
         #: (:func:`repro.mpiio.nodeagg.node_groups`)
         self.node_cache: dict[int, tuple[int, list[int]]] = {}
@@ -105,7 +106,8 @@ class World:
         self.network = NetworkModel(self.engine, machine, net_params)
         #: hot-path cache (NetworkParams is frozen for the world's lifetime)
         self._eager_threshold = self.network.params.eager_threshold
-        #: default backend for every communicator without an override
+        #: fidelity of the world communicator's collectives and of
+        #: every communicator derived from it
         self.backend = resolve_backend(collective_mode)
         #: optional FaultInjector applying NodeSlowdown events here
         self.faults = faults
@@ -123,7 +125,8 @@ class World:
                     self.network.rx[n].profile = prof
             for proc in self.procs:
                 proc.cpu_profile = faults.node_profile(proc.node)
-        world_desc = CommDescriptor(ctx=0, members=list(range(self.nprocs)))
+        world_desc = CommDescriptor(0, list(range(self.nprocs)),
+                                    self.backend.world)
         for proc in self.procs:
             proc.comm_world = Communicator(proc, world_desc)
 
@@ -213,7 +216,8 @@ class World:
         key = (parent.ctx, split_seq, color)
         desc = self._split_registry.get(key)
         if desc is None:
-            desc = CommDescriptor(ctx=self._next_ctx, members=members)
+            desc = CommDescriptor(self._next_ctx, members,
+                                  self.backend.default)
             self._next_ctx += 1
             self._split_registry[key] = desc
         return desc
@@ -247,7 +251,7 @@ class World:
 
     @property
     def collective_mode(self) -> str:
-        """Canonical spec string of the world's default backend."""
+        """Canonical spec string of the world's backend."""
         return self.backend.describe()
 
 
@@ -262,25 +266,15 @@ class Communicator:
         self._coll_ctx_val = -(desc.ctx + 1)
         self.rank = desc.rank_of[proc.rank]
         self.size = len(desc.members)
-        # one-element boxes so handles derived via with_backend share the
-        # operation sequencing (sites and collective tags stay unique)
-        self._op_state = [0]
-        self._split_state = [0]
-        #: per-communicator backend override; None = the world's default
-        self._backend: Optional[CollectiveBackend] = None
+        #: collectives and splits this handle has entered; they number
+        #: the sites, collective tags and derived communicators
+        self._op_seq = 0
+        self._split_seq = 0
 
     # -- helpers --------------------------------------------------------
     @property
     def engine(self) -> Engine:
         return self._engine
-
-    @property
-    def _op_seq(self) -> int:
-        return self._op_state[0]
-
-    @property
-    def backend(self) -> CollectiveBackend:
-        return self._backend if self._backend is not None else self.world.backend
 
     def once_per_call(self, tag: Any, build: Callable[[], Any]) -> Any:
         """``build()`` for the collective this rank has just completed,
@@ -301,22 +295,6 @@ class Communicator:
         value = build()
         self.desc.shared = (key, value)
         return value
-
-    def with_backend(self, backend: str | CollectiveBackend) -> "Communicator":
-        """A handle on the same group whose collectives run through
-        ``backend``.
-
-        The derived handle shares all communicator state (context, sites,
-        op sequencing) with the original, so the two may be used
-        interchangeably — but every rank must run any given collective
-        through the same fidelity, so install overrides symmetrically
-        (e.g. from a collectively-agreed hint).
-        """
-        clone = type(self)(self.proc, self.desc)
-        clone._op_state = self._op_state
-        clone._split_state = self._split_state
-        clone._backend = resolve_backend(backend)
-        return clone
 
     @property
     def now(self) -> float:
@@ -396,32 +374,6 @@ class Communicator:
     def _charge(self, category: str, t0: float) -> None:
         self.proc.breakdown.add(category, self.now - t0)
 
-    def _check_fidelity_symmetry(self, fid: str, category: str) -> None:
-        """Record this rank's fidelity choice for the current op and
-        raise if it diverges from what another rank already chose."""
-        ledger = self.desc.fidelities
-        key = self._op_seq
-        entry = ledger.get(key)
-        if entry is None:
-            ledger[key] = [fid, category, self.rank, 1]
-            return
-        held_fid, held_cat, first_rank, arrivals = entry
-        if fid != held_fid:
-            raise ParCollError(
-                f"collective backend divergence on communicator "
-                f"{self.desc.ctx} at op #{key}: rank {self.rank} "
-                f"(backend {self.backend.describe()!r}) selected "
-                f"{fid!r} for category {category!r} while rank "
-                f"{first_rank} selected {held_fid!r} for "
-                f"{held_cat!r} — all ranks must run a collective "
-                "through the same fidelity; install backend overrides "
-                "symmetrically (Communicator.with_backend, the "
-                "'collective_mode' hint)"
-            )
-        entry[3] = arrivals + 1
-        if entry[3] == self.size:
-            del ledger[key]  # complete: every rank agreed
-
     def _analytic_site(self, value: Any, combine: Callable[[dict[int, Any]], list],
                        cost: Callable[[dict[int, Any]], float],
                        kind: str = "generic") -> Generator[Any, Any, Any]:
@@ -456,21 +408,12 @@ class Communicator:
                     detailed_path: Callable[[], Generator],
                     macro_path: Optional[Callable[[], Generator]] = None
                     ) -> Generator[Any, Any, Any]:
-        """Run one collective through the backend-selected path.
+        """Run one collective through the communicator's fidelity path.
 
         The paths are thunks; only the chosen generator is ever
         constructed, so no dead execution path is allocated (and then
-        closed) per call.
-
-        Backend symmetry across ranks is enforced here, not merely
-        documented: every rank records its per-call fidelity choice in
-        the communicator's ledger (the same role the analytic site key /
-        first detailed tag plays for call-order matching), so a
-        rank-divergent backend spec — one rank's backend picking
-        'analytic' where another picks 'detailed' for the same
-        collective — raises a clear :class:`ParCollError` at the second
-        arrival instead of deadlocking the message schedule against the
-        synchronization site.
+        closed) per call.  The fidelity is fixed on the shared
+        descriptor, so every rank of the call takes the same path.
 
         ``macro_path`` is the coalesced closed-form replay of the
         detailed schedule; only the synchronizing collectives provide
@@ -479,13 +422,9 @@ class Communicator:
         the ``macro`` fidelity it falls back to the detailed path — a
         kind-based, rank-symmetric decision.
         """
-        self._op_state[0] += 1
+        self._op_seq += 1
         t0 = self.now
-        if self.size == 1:
-            fid = "analytic"  # degenerate: immediate, no traffic either way
-        else:
-            fid = self.backend.fidelity(category, comm=self)
-            self._check_fidelity_symmetry(fid, category)
+        fid = self.desc.fidelity
         if fid == "analytic":
             path = analytic_path
         elif fid == "macro" and macro_path is not None:
@@ -620,8 +559,8 @@ class Communicator:
 
         ``color=None`` mirrors MPI_UNDEFINED: the rank gets no communicator.
         """
-        self._split_state[0] += 1
-        split_seq = self._split_state[0]
+        self._split_seq += 1
+        split_seq = self._split_seq
         key = self.rank if key is None else key
         entries = yield from self.allgather((color, key, self.rank),
                                             category=category)
@@ -631,9 +570,7 @@ class Communicator:
             "split", lambda: _split_groups(entries, self.desc.members))
         desc = self.world.derive_comm(self.desc, split_seq, color,
                                       groups[color])
-        sub = type(self)(self.proc, desc)
-        sub._backend = self._backend  # children inherit any override
-        return sub
+        return type(self)(self.proc, desc)
 
 
 def _split_groups(entries: list, members: list[int]) -> dict:

@@ -43,13 +43,14 @@ from repro.workloads.synthetic import (SyntheticConfig, file_bytes_total,
                                        filetype_for,
                                        rank_offsets_for_interleaved)
 
-#: every collective-fidelity backend family gets coverage
+#: every fidelity gets coverage, on the world communicator and on
+#: derived ones
 BACKENDS = (
     "analytic",
     "detailed",
     "macro",
-    "hybrid:sync=analytic,default=detailed",
-    "hybrid:sync=macro,default=detailed",
+    "scoped:world=analytic,default=macro",
+    "scoped:world=macro,default=detailed",
     "scoped:world=analytic,default=detailed",
 )
 
@@ -197,8 +198,9 @@ def _case_program(case: DiffCase, hints: dict, io: MPIIO):
     return program, "diff"
 
 
-def _run_combo(case: DiffCase, hints: dict) -> dict[str, Any]:
-    """One verified-mode simulation of ``case`` under ``hints``.
+def _run_combo(case: DiffCase, hints: dict, backend: str) -> dict[str, Any]:
+    """One verified-mode simulation of ``case`` under ``hints`` on a
+    world whose collectives run through ``backend``.
 
     The correctness oracle is always on, so the run itself raises
     :class:`~repro.errors.ValidationError` on any invariant or oracle
@@ -215,7 +217,8 @@ def _run_combo(case: DiffCase, hints: dict) -> dict[str, Any]:
         # lost RPCs must never exhaust the retry budget in a gate run
         retry = RetryPolicy(max_attempts=12)
     machine = MachineConfig(nprocs=case.nprocs, cores_per_node=2)
-    world = World(machine, net_params=NetworkParams(), faults=injector)
+    world = World(machine, net_params=NetworkParams(),
+                  collective_mode=backend, faults=injector)
     fs = LustreFS(world.engine,
                   LustreParams(n_osts=case.n_osts,
                                default_stripe_count=case.stripe_count,
@@ -261,8 +264,8 @@ def _byte_diff(name: str, expected: np.ndarray,
                       got=got[lo:hi].tolist())
 
 
-def protocol_combos(case: DiffCase) -> list[tuple[str, dict]]:
-    """The (label, hints) grid one case races.
+def protocol_combos(case: DiffCase) -> list[tuple[str, dict, str]]:
+    """The (label, hints, backend) grid one case races.
 
     Every protocol in :data:`repro.mpiio.PROTOCOLS` runs on the analytic
     backend; the protocols that actually communicate (parcoll, nodeagg)
@@ -274,13 +277,12 @@ def protocol_combos(case: DiffCase) -> list[tuple[str, dict]]:
     combos = []
     for name in PROTOCOLS:
         hints = parcoll_hints if name == "parcoll" else {"protocol": name}
-        combos.append((f"{name}@analytic", hints))
+        combos.append((f"{name}@analytic", hints, "analytic"))
         if name in ("parcoll", "nodeagg") and case.backend != "analytic":
-            combos.append((f"{name}@{case.backend}",
-                           {**hints, "collective_mode": case.backend}))
+            combos.append((f"{name}@{case.backend}", hints, case.backend))
     combos.append(("nodeagg+fa@analytic",
                    {"protocol": "nodeagg",
-                    "parcoll_ngroups": max(2, case.ngroups)}))
+                    "parcoll_ngroups": max(2, case.ngroups)}, "analytic"))
     return combos
 
 
@@ -299,9 +301,9 @@ def run_case(case: DiffCase) -> dict[str, Any]:
     failures: list[dict[str, Any]] = []
     checks = 0
     replay_probe = None
-    for label, hints in combos:
+    for label, hints, backend in combos:
         try:
-            out = _run_combo(case, hints)
+            out = _run_combo(case, hints, backend)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             failures.append({"combo": label, "error": f"{type(exc).__name__}: {exc}"})
             continue
@@ -312,11 +314,11 @@ def run_case(case: DiffCase) -> dict[str, Any]:
         if diff is not None:
             failures.append({"combo": label, "diff": diff.to_dict()})
         if label.startswith("parcoll@") and "@analytic" not in label:
-            replay_probe = (label, hints, out)
+            replay_probe = (label, hints, backend, out)
     if replay_probe is not None:
-        label, hints, first = replay_probe
+        label, hints, backend, first = replay_probe
         try:
-            second = _run_combo(case, hints)
+            second = _run_combo(case, hints, backend)
         except Exception as exc:  # noqa: BLE001
             failures.append({"combo": f"replay:{label}",
                              "error": f"{type(exc).__name__}: {exc}"})

@@ -34,8 +34,9 @@ class TestListing:
     def test_backends_lists_fidelities(self, cli):
         code, out, _ = cli("backends")
         assert code == 0
-        for name in ("analytic", "detailed", "hybrid"):
+        for name in ("analytic", "detailed", "macro", "scoped"):
             assert name in out
+        assert "hybrid" not in out
 
     def test_protocols_lists_registry(self, cli):
         code, out, _ = cli("protocols")

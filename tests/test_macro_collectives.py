@@ -10,10 +10,9 @@ identical FIFO reservation order, and the hot-path determinism gate
 
 Coverage mirrors the acceptance grid: every coalescible collective kind
 x eager/rendezvous sizes x arrival skew x node shapes, concurrent and
-back-to-back rounds, subcommunicators, hybrid composition, per-handle
-``with_backend`` overrides, NIC fault profiles, the declared fallbacks
-(``gather``'s detailed schedule, size-1 comms, zero-latency networks),
-and the mismatched-collective ledger error.
+back-to-back rounds, subcommunicators, NIC fault profiles, the declared
+fallbacks (``gather``'s detailed schedule, size-1 comms, zero-latency
+networks), and the mismatched-collective ledger error.
 """
 
 from __future__ import annotations
@@ -229,13 +228,6 @@ def test_nic_fault_profiles_replay_bit_identically():
         profile_nodes=(0, 1))
 
 
-def test_hybrid_sync_macro_matches_detailed():
-    prog = grid_program("allreduce", 6, 8, 3e-4)
-    det = run_world("detailed", 6, 2, prog)
-    hyb = run_world("hybrid:sync=macro,default=detailed", 6, 2, prog)
-    assert det == hyb
-
-
 def test_macro_matches_detailed_across_eager_threshold():
     # a macro world must agree with detailed even when the workload
     # straddles the eager threshold in both directions
@@ -245,21 +237,6 @@ def test_macro_matches_detailed_across_eager_threshold():
         return comm.now, a, b
 
     assert_macro_matches_detailed(6, 3, program)
-
-
-def test_with_backend_per_handle_override():
-    def make(mode):
-        def program(comm):
-            fast = comm.with_backend(mode)
-            a = yield from fast.allreduce(comm.rank, op=SUM, nbytes=8)
-            b = yield from comm.allgather(comm.rank, nbytes=8)
-            return comm.now, a, b
-
-        return program
-
-    det = run_world("detailed", 6, 2, make("detailed"))
-    mac = run_world("detailed", 6, 2, make("macro"))
-    assert det == mac
 
 
 def test_size_one_comm_falls_back():

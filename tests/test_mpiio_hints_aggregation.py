@@ -34,6 +34,7 @@ class TestHints:
         ("retry_backoff_base", 0.0),
         ("retry_backoff_factor", 2.0),
         ("retry_jitter", 0.0),
+        ("collective_mode", "detailed"),
     ])
     def test_unknown_hint_rejected(self, name, value):
         with pytest.raises(MPIIOError, match="unknown hint"):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import MPIIOError, ParCollError
 from repro.mpiio import MPIIO, PROTOCOLS, IOHints
-from repro.simmpi import Communicator, resolve_backend
+from repro.simmpi import resolve_backend
 from repro.workloads.base import deterministic_bytes
 from tests.conftest import Stack
 
@@ -192,39 +192,6 @@ class TestStateInvalidation:
 
         st.run(program)
         assert kept["cache"] > 0
-
-    @pytest.mark.parametrize("protocol", ["parcoll", "nodeagg"])
-    def test_collective_mode_change_rebuilds_subcommunicators(self,
-                                                             protocol):
-        """Regression: ParColl's subgroup and nodeagg's leader
-        communicators are split from the file's communicator and inherit
-        its ``collective_mode`` backend, so switching the mode must drop
-        them, not keep running the old backend on every subgroup."""
-        st = Stack(nprocs=4)
-        modes = {}
-
-        def program(comm, io):
-            f = yield from io.open(
-                comm, "mode", hints={"protocol": protocol,
-                                     "parcoll_ngroups": 2,
-                                     "collective_mode": "analytic"})
-            yield from self._tiled_write(f, comm, 0, 0)
-            f.set_hints(collective_mode="detailed")
-            yield from self._tiled_write(f, comm, 0, 1)
-            yield from comm.barrier()
-            if comm.rank == 0:
-                modes["file"] = f.comm.backend.describe()
-                held = []
-                for entry in f.shared.state_for(protocol).values():
-                    held.extend(entry if isinstance(entry, tuple)
-                                else (entry,))
-                modes["cached"] = {c.backend.describe() for c in held
-                                   if isinstance(c, Communicator)}
-            yield from f.close()
-
-        st.run(program)
-        assert modes["file"] == "detailed"
-        assert modes["cached"] == {"detailed"}
 
 
 class TestDefaultHints:

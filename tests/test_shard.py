@@ -65,7 +65,6 @@ class TestBitIdentity:
         "scoped:world=analytic,default=macro",
         "scoped:world=analytic,default=detailed",
         "analytic",
-        "hybrid:default=analytic",
     ])
     def test_sharded_equals_unsharded(self, shards, backend):
         program = parcoll_workload()
@@ -132,16 +131,14 @@ class TestFallbacks:
         assert plan().active
         assert plan().ranks_per_shard == 4
         assert plan().groups_per_shard == 1
-        # every spec whose world collectives all resolve to analytic
-        for mode in ("scoped", "scoped:default=detailed",
-                     "hybrid:default=analytic"):
+        # every spec whose world collectives are analytic
+        for mode in ("scoped", "scoped:default=detailed"):
             assert plan(cfg_kw={"collective_mode": mode}).active, mode
         for kw, needle in [
             (dict(cfg_kw={"mapping": "roundrobin"}), "mapping"),
             (dict(cfg_kw={"collective_mode": "detailed"}), "analytic"),
             (dict(cfg_kw={"collective_mode": "scoped:world=detailed"}),
              "analytic"),
-            (dict(cfg_kw={"collective_mode": "hybrid"}), "analytic"),
             (dict(cfg_kw={"cores_per_node": 8}), "node"),
             (dict(hint_kw={"parcoll_ngroups": 6}), "divide"),
             (dict(hint_kw={"parcoll_ngroups": None}), "parcoll_ngroups"),
